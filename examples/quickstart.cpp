@@ -3,10 +3,12 @@
 /// submit a handful of jobs, schedule them with the power-aware EASY
 /// backfilling policy, and inspect the schedule and the energy bill.
 ///
-/// The run is described by a report::RunSpec (policy by registry name,
-/// paper platform defaults) and executed with report::run_workload — the
-/// entry point for hand-written job lists, sharing all machinery with the
-/// archive/SWF-driven experiments.
+/// The run is described by a report::RunSpec (its core::PolicySpec names
+/// the policy in the registry; platform defaults are the paper's) and
+/// executed with report::run_workload — the entry point for hand-written
+/// job lists. It streams the list through the same simulation path as the
+/// archive/SWF-driven experiments, admitting the whole list up front, so
+/// the list need not be sorted by submit time.
 ///
 /// Run: ./quickstart
 #include <iostream>

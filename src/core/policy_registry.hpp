@@ -1,6 +1,6 @@
 /// \file policy_registry.hpp
 /// \brief String-keyed construction of scheduling policies and frequency
-/// assigners — the open counterpart of the closed BasePolicy enum.
+/// assigners — the one way to build a policy, open to downstream names.
 ///
 /// Mirrors cluster::make_selector: a PolicySpec names a policy ("easy",
 /// "fcfs", "conservative", "easy+raise") and an assigner ("ftop", "bsld",

@@ -1,6 +1,7 @@
 #include "report/experiment.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "pm/registry.hpp"
@@ -119,8 +120,7 @@ struct Platform {
       : power(std::move(p)), time(std::move(t)) {}
 };
 
-/// Everything a run needs besides its job source — shared verbatim by the
-/// materialized and streaming paths so the two cannot drift.
+/// Everything a run needs besides its job source.
 struct RunAssembly {
   std::shared_ptr<Platform> platform;
   std::unique_ptr<core::SchedulingPolicy> policy;
@@ -163,10 +163,9 @@ RunAssembly assemble_run(const RunSpec& spec, std::int32_t scaled_cpus) {
   return parts;
 }
 
-/// Streaming counterpart of run_workload()'s eager per-job transforms:
-/// clamps sizes for a shrunken machine and draws per-job betas, one job at
-/// a time. Bit-identical to the materialized loops because both consume
-/// the rng sequentially in trace order.
+/// The per-job transforms of a spec, applied as jobs are pulled: clamps
+/// sizes for a shrunken machine and draws per-job betas, consuming the rng
+/// sequentially in trace order.
 class ShapedStream final : public wl::JobStream {
  public:
   ShapedStream(wl::JobStream& inner, std::int32_t clamp_size,
@@ -199,6 +198,33 @@ class ShapedStream final : public wl::JobStream {
   util::Rng rng_;
 };
 
+/// The one run body behind run_workload() and run_stream(): shapes
+/// `source` for the scaled machine and the per-job betas, then simulates it
+/// under `submit_lookahead` with the spec's instruments attached.
+RunResult run_source(wl::JobStream& source, const RunSpec& spec,
+                     std::int64_t submit_lookahead) {
+  BSLD_REQUIRE(spec.size_scale > 0.0, "RunSpec: size_scale must be positive");
+  const auto scaled_cpus = static_cast<std::int32_t>(
+      std::llround(static_cast<double>(source.cpus()) * spec.size_scale));
+  BSLD_REQUIRE(scaled_cpus >= 1, "RunSpec: scaled machine has no CPUs");
+  // Enlarged systems keep original job sizes (paper §1: "Since our jobs are
+  // rigid we have used original job sizes"); shrunken ones must clamp.
+  const std::int32_t clamp = scaled_cpus < source.cpus() ? scaled_cpus : 0;
+  // Per-job sensitivities (future-work extension) are seeded from the
+  // workload source, so equal specs stay bit-identical.
+  ShapedStream shaped(source, clamp, spec.per_job_beta,
+                      wl::source_seed(spec.workload) ^ 0xbe7abe7aULL);
+
+  RunAssembly parts = assemble_run(spec, scaled_cpus);
+  parts.config.submit_lookahead = submit_lookahead;
+  sim::Simulation simulation(shaped, *parts.policy, parts.platform->power,
+                             parts.platform->time, parts.config);
+  for (const auto& instrument : parts.instruments) {
+    simulation.add_observer(*instrument);
+  }
+  return RunResult{spec, simulation.run(), std::move(parts.instruments)};
+}
+
 }  // namespace
 
 RunResult run_one(const RunSpec& spec) {
@@ -209,64 +235,16 @@ RunResult run_one(const RunSpec& spec) {
   return run_workload(wl::load_source(spec.workload), spec);
 }
 
-RunResult run_workload(wl::Workload workload, const RunSpec& spec) {
-  BSLD_REQUIRE(spec.size_scale > 0.0,
-               "run_workload(): size_scale must be positive");
-
-  const auto scaled_cpus = static_cast<std::int32_t>(
-      std::llround(static_cast<double>(workload.cpus) * spec.size_scale));
-  BSLD_REQUIRE(scaled_cpus >= 1, "run_workload(): scaled machine has no CPUs");
-  // Enlarged systems keep original job sizes (paper §1: "Since our jobs are
-  // rigid we have used original job sizes"); shrunken ones must clamp.
-  if (scaled_cpus < workload.cpus) {
-    for (wl::Job& job : workload.jobs) {
-      job.size = std::min(job.size, scaled_cpus);
-    }
-  }
-
-  if (spec.per_job_beta) {
-    // Deterministic per-job sensitivities (future-work extension): seeded
-    // from the workload source so equal specs stay bit-identical.
-    util::Rng rng(wl::source_seed(spec.workload) ^ 0xbe7abe7aULL);
-    for (wl::Job& job : workload.jobs) {
-      job.beta = rng.uniform(spec.per_job_beta->first,
-                             spec.per_job_beta->second);
-    }
-  }
-
-  RunAssembly parts = assemble_run(spec, scaled_cpus);
-  sim::Simulation simulation(workload, *parts.policy, parts.platform->power,
-                             parts.platform->time, parts.config);
-  for (const auto& instrument : parts.instruments) {
-    simulation.add_observer(*instrument);
-  }
-
-  RunResult result{spec, simulation.run(), std::move(parts.instruments)};
-  return result;
+RunResult run_workload(const wl::Workload& workload, const RunSpec& spec) {
+  // The whole list is admitted up front, so hand-built lists need not be
+  // sorted.
+  wl::WorkloadViewStream view(workload);
+  return run_source(view, spec, std::numeric_limits<std::int64_t>::max());
 }
 
 RunResult run_stream(const RunSpec& spec) {
-  BSLD_REQUIRE(spec.size_scale > 0.0,
-               "run_stream(): size_scale must be positive");
-
   const std::unique_ptr<wl::JobStream> source = wl::open_stream(spec.workload);
-  const auto scaled_cpus = static_cast<std::int32_t>(
-      std::llround(static_cast<double>(source->cpus()) * spec.size_scale));
-  BSLD_REQUIRE(scaled_cpus >= 1, "run_stream(): scaled machine has no CPUs");
-
-  const std::int32_t clamp = scaled_cpus < source->cpus() ? scaled_cpus : 0;
-  ShapedStream shaped(*source, clamp, spec.per_job_beta,
-                      wl::source_seed(spec.workload) ^ 0xbe7abe7aULL);
-
-  RunAssembly parts = assemble_run(spec, scaled_cpus);
-  sim::Simulation simulation(shaped, *parts.policy, parts.platform->power,
-                             parts.platform->time, parts.config);
-  for (const auto& instrument : parts.instruments) {
-    simulation.add_observer(*instrument);
-  }
-
-  RunResult result{spec, simulation.run(), std::move(parts.instruments)};
-  return result;
+  return run_source(*source, spec, sim::SimulationConfig{}.submit_lookahead);
 }
 
 RunResult::RunResult(RunSpec spec_in, sim::SimulationResult sim_in,

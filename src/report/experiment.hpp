@@ -67,8 +67,8 @@ struct RunSpec {
   bool retain_jobs = true;
   /// Execute through the streaming pipeline: wl::open_stream feeds the
   /// simulation directly under its submit-lookahead window, so the trace
-  /// is never materialized. Results are bit-identical to the eager path;
-  /// combined with retain_jobs = false the run performs no O(jobs)
+  /// is never materialized. Results are bit-identical to the materialized
+  /// run; combined with retain_jobs = false the run performs no O(jobs)
   /// allocation end to end. Serialized as `stream = true` only when set.
   bool stream = false;
   /// Time-series instrument sampling (wait-trace, utilization): the
@@ -143,9 +143,9 @@ struct RunResult {
   /// default-constructed result yields an empty payload, never a crash.
   [[nodiscard]] const sim::SimulationResult& sim() const;
 
-  /// Installs/replaces the payload. The only writers are run_workload()
-  /// and the result cache's deserializer; everything downstream reads
-  /// through sim().
+  /// Installs/replaces the payload. The only writers are the run entry
+  /// points and the result cache's deserializer; everything downstream
+  /// reads through sim().
   void set_sim(sim::SimulationResult value);
 
   /// The instrument registered under `name`, or nullptr. Use
@@ -174,15 +174,16 @@ const T* instrument_as(const RunResult& result, std::string_view name) {
 RunResult run_one(const RunSpec& spec);
 
 /// Lower-level entry point for callers that already hold a workload (e.g.
-/// hand-written job lists): applies `spec`'s machine scaling, per-job beta
-/// sampling, platform models and policy to `workload`. run_one() with
-/// stream off is wl::load_source + run_workload.
-RunResult run_workload(wl::Workload workload, const RunSpec& spec);
+/// hand-written job lists): runs `workload` under `spec`'s machine scaling,
+/// per-job beta sampling, platform models and policy. The whole list is
+/// admitted before the first event, so it need not be sorted. run_one()
+/// with stream off is wl::load_source + run_workload.
+RunResult run_workload(const wl::Workload& workload, const RunSpec& spec);
 
 /// Streaming entry point: opens spec.workload as a wl::JobStream and pulls
 /// it through the simulation's lookahead window — the trace is never held
-/// in memory. Machine scaling and per-job beta sampling are applied as
-/// stream decorators that reproduce run_workload()'s transforms exactly.
+/// in memory. Shares run_workload()'s run body; only the job source and
+/// the lookahead differ.
 RunResult run_stream(const RunSpec& spec);
 
 /// Energy of `run` normalized to `baseline` (paper's Figs. 3/7/8 y-axis).

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <tuple>
 
 #include "util/types.hpp"
 
@@ -36,23 +35,6 @@ struct Event {
   EventKind kind = EventKind::kJobSubmit;
   std::uint64_t sequence = 0;  ///< Assigned by the engine on scheduling.
   JobId job = kNoJob;
-};
-
-/// Strict-weak order "a pops before b" (ascending engine order).
-struct EventBefore {
-  bool operator()(const Event& a, const Event& b) const {
-    return std::tuple(a.time, static_cast<int>(a.kind), a.sequence) <
-           std::tuple(b.time, static_cast<int>(b.kind), b.sequence);
-  }
-};
-
-/// Strict-weak order "a pops after b" (max-heap comparator form, kept for
-/// callers that want the inverted sense).
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    return std::tuple(a.time, static_cast<int>(a.kind), a.sequence) >
-           std::tuple(b.time, static_cast<int>(b.kind), b.sequence);
-  }
 };
 
 }  // namespace bsld::sim

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
+#include <memory>
 #include <utility>
 
 #include "sim/arena.hpp"
@@ -26,48 +26,34 @@ namespace bsld::sim {
 // the stream is sorted, a job admitted while the clock sits at a popped
 // submit's time T has submit >= T — never scheduled in the past.
 
+namespace {
+
+SimulationConfig with_unlimited_lookahead(SimulationConfig config) {
+  config.submit_lookahead = std::numeric_limits<std::int64_t>::max();
+  return config;
+}
+
+}  // namespace
+
+// Unlimited lookahead: the whole trace is admitted before the first event
+// pops, which is what makes unsorted hand-built traces legal here.
 Simulation::Simulation(const wl::Workload& workload,
                        core::SchedulingPolicy& policy,
                        const power::PowerModel& power_model,
                        const power::BetaTimeModel& time_model,
                        SimulationConfig config)
-    : policy_(policy),
-      power_model_(power_model),
-      time_model_(time_model),
-      config_(config),
-      pm_(config.power_manager),
-      view_(std::in_place, workload),
-      stream_(&*view_),
-      // Unlimited lookahead: the whole trace is admitted before the first
-      // event pops, exactly like the classic eager simulator — which also
-      // makes unsorted hand-built traces legal through this constructor.
-      lookahead_(std::numeric_limits<std::int64_t>::max()),
-      machine_(config.cpus > 0 ? config.cpus : workload.cpus),
-      engine_(RunArena::local().acquire_engine()),
-      window_(RunArena::local().acquire_job_window()),
-      cpu_slab_(RunArena::local().acquire_cpu_slab()) {
-  BSLD_REQUIRE(!workload.jobs.empty(), "Simulation: empty workload");
-  BSLD_REQUIRE(power_model_.gears() == time_model_.gears(),
-               "Simulation: power and time models must share one gear set");
-  // Eager whole-trace validation, so construction throws exactly where the
-  // pre-streaming simulator did. The pump re-checks per job; that repeat
-  // is cheap and keeps the streaming path self-sufficient.
-  std::unordered_set<JobId> seen;
-  seen.reserve(workload.jobs.size());
-  for (const wl::Job& job : workload.jobs) {
-    BSLD_REQUIRE(job.size >= 1 && job.size <= machine_.cpu_count(),
-                 "Simulation: job size outside [1, cpus] — clean or clamp "
-                 "the workload first");
-    BSLD_REQUIRE(job.run_time >= 0 && job.requested_time >= 1,
-                 "Simulation: invalid job durations");
-    BSLD_REQUIRE(seen.insert(job.id).second,
-                 "Simulation: duplicate job id");
-  }
-  index_.reserve(workload.jobs.size());
-  batch_.reserve(kBatchCapacity);
-}
+    : Simulation(std::make_unique<wl::WorkloadViewStream>(workload), nullptr,
+                 policy, power_model, time_model,
+                 with_unlimited_lookahead(config)) {}
 
 Simulation::Simulation(wl::JobStream& stream, core::SchedulingPolicy& policy,
+                       const power::PowerModel& power_model,
+                       const power::BetaTimeModel& time_model,
+                       SimulationConfig config)
+    : Simulation(nullptr, &stream, policy, power_model, time_model, config) {}
+
+Simulation::Simulation(std::unique_ptr<wl::JobStream> owned,
+                       wl::JobStream* stream, core::SchedulingPolicy& policy,
                        const power::PowerModel& power_model,
                        const power::BetaTimeModel& time_model,
                        SimulationConfig config)
@@ -76,14 +62,20 @@ Simulation::Simulation(wl::JobStream& stream, core::SchedulingPolicy& policy,
       time_model_(time_model),
       config_(config),
       pm_(config.power_manager),
-      stream_(&stream),
+      owned_stream_(std::move(owned)),
+      stream_(stream != nullptr ? stream : owned_stream_.get()),
       lookahead_(std::max<std::int64_t>(1, config.submit_lookahead)),
-      machine_(config.cpus > 0 ? config.cpus : stream.cpus()),
+      machine_(config.cpus > 0 ? config.cpus : stream_->cpus()),
       engine_(RunArena::local().acquire_engine()),
       window_(RunArena::local().acquire_job_window()),
       cpu_slab_(RunArena::local().acquire_cpu_slab()) {
   BSLD_REQUIRE(power_model_.gears() == time_model_.gears(),
                "Simulation: power and time models must share one gear set");
+  // A known trace length bounds the live-job index for the whole run.
+  const std::int64_t hint = stream_->size_hint();
+  if (hint > 0) {
+    index_.reserve(static_cast<std::size_t>(std::min(hint, lookahead_)));
+  }
   batch_.reserve(kBatchCapacity);
 }
 
@@ -184,7 +176,6 @@ void Simulation::start_job(JobId id, const std::vector<CpuId>& cpus,
                "Simulation: allocation size mismatch");
   BSLD_REQUIRE(engine_.now() >= trace.submit,
                "Simulation: job started before submission");
-  slot.started = true;
 
   // The power manager rules on every start: it may lower the gear under a
   // cap, gate the admission entirely, or charge a wake delay for sleeping
@@ -228,6 +219,10 @@ void Simulation::start_job(JobId id, const std::vector<CpuId>& cpus,
   state.boosted = false;
   state.gated = decision.gate;
   state.running = true;
+  // Marked started only now: the pm hook above may fill the observer batch,
+  // and the flush's eviction sweep retires started-but-not-running front
+  // jobs — which this job would have looked like mid-start.
+  slot.started = true;
   state.scaled_requested =
       decision.wake_delay +
       std::max(time_model_.scale_duration_with_beta(trace.requested_time,
@@ -507,24 +502,6 @@ SimulationResult Simulation::run() {
   if (config_.retain_jobs) result.jobs = recorder.take();
   chain_.clear();
   return result;
-}
-
-SimulationResult run_simulation(const wl::Workload& workload,
-                                core::SchedulingPolicy& policy,
-                                const power::PowerModel& power_model,
-                                const power::BetaTimeModel& time_model,
-                                SimulationConfig config) {
-  Simulation simulation(workload, policy, power_model, time_model, config);
-  return simulation.run();
-}
-
-SimulationResult run_simulation(wl::JobStream& stream,
-                                core::SchedulingPolicy& policy,
-                                const power::PowerModel& power_model,
-                                const power::BetaTimeModel& time_model,
-                                SimulationConfig config) {
-  Simulation simulation(stream, policy, power_model, time_model, config);
-  return simulation.run();
 }
 
 }  // namespace bsld::sim

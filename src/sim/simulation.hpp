@@ -29,7 +29,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -61,11 +61,13 @@ struct SimulationConfig {
   /// synthetic workloads run in O(1) memory per worker; SimulationResult
   /// aggregates are bit-identical either way.
   bool retain_jobs = true;
-  /// Streaming-constructor only: maximum submit events admitted to the
-  /// calendar queue ahead of the clock (clamped to >= 1). Larger values
-  /// trade memory for fewer stream pulls per event; event order — and
-  /// therefore every result — is independent of the value. The
-  /// materialized constructor ignores this and admits the whole trace.
+  /// Maximum submit events admitted to the calendar queue ahead of the
+  /// clock (clamped to >= 1). Larger values trade memory for fewer stream
+  /// pulls per event; for a sorted stream, event order — and therefore
+  /// every result — is independent of the value. An out-of-order job is
+  /// legal only if it is admitted before the clock passes its submit time,
+  /// so an unsorted list needs a lookahead covering its whole length; the
+  /// materialized constructor always uses an unlimited one.
   std::int64_t submit_lookahead = 4096;
   /// Optional cluster power manager (non-owning; must outlive run()).
   /// nullptr — like the registered `pm=none` manager — leaves every run
@@ -106,12 +108,13 @@ class Simulation final : public core::SchedulerContext,
                          public pm::PmContext,
                          public JobResolver {
  public:
-  /// Materialized form: streams `workload` (which must outlive run())
-  /// through the windowed core with an unlimited lookahead, so behavior
-  /// and event order match the classic eager simulator exactly — including
-  /// tolerating unsorted hand-built traces. Throws bsld::Error on an empty
-  /// workload, non-positive machine size, jobs larger than the machine,
-  /// invalid durations, or duplicate ids.
+  /// Materialized form: the streaming form over a wl::WorkloadViewStream
+  /// of `workload` (which must outlive run()) with an unlimited lookahead,
+  /// so the whole list is admitted before the first event pops and
+  /// unsorted hand-built lists stay legal. Throws bsld::Error on a
+  /// non-positive machine size; jobs are validated at admission like any
+  /// stream's, so run() throws on an empty workload, jobs larger than the
+  /// machine, invalid durations, or duplicate ids.
   Simulation(const wl::Workload& workload, core::SchedulingPolicy& policy,
              const power::PowerModel& power_model,
              const power::BetaTimeModel& time_model,
@@ -172,6 +175,14 @@ class Simulation final : public core::SchedulerContext,
       std::uint64_t trace_index) const override;
 
  private:
+  /// The one initialisation path: both public forms delegate here.
+  /// `owned` keeps the materialized form's view alive; `stream` is the
+  /// caller's stream, or null to read from `owned`.
+  Simulation(std::unique_ptr<wl::JobStream> owned, wl::JobStream* stream,
+             core::SchedulingPolicy& policy,
+             const power::PowerModel& power_model,
+             const power::BetaTimeModel& time_model, SimulationConfig config);
+
   [[nodiscard]] std::uint64_t trace_index(JobId id) const;
   [[nodiscard]] RunningRec& running(JobId id);
   [[nodiscard]] const RunningRec& running(JobId id) const;
@@ -214,8 +225,9 @@ class Simulation final : public core::SchedulerContext,
   SimulationConfig config_;
   pm::PowerManager* pm_ = nullptr;  ///< == config_.power_manager.
 
-  std::optional<wl::WorkloadViewStream> view_;  ///< Materialized form only.
-  wl::JobStream* stream_ = nullptr;  ///< The ingestion source (or &*view_).
+  /// The materialized form's WorkloadViewStream; null for a caller's stream.
+  std::unique_ptr<wl::JobStream> owned_stream_;
+  wl::JobStream* stream_ = nullptr;  ///< The ingestion source.
   std::int64_t lookahead_ = 0;       ///< Max outstanding submit events.
 
   cluster::Machine machine_;
@@ -246,19 +258,5 @@ class Simulation final : public core::SchedulerContext,
   Time last_end_ = 0;
   bool ran_ = false;
 };
-
-/// Convenience wrapper: wires the simulation and runs it.
-SimulationResult run_simulation(const wl::Workload& workload,
-                                core::SchedulingPolicy& policy,
-                                const power::PowerModel& power_model,
-                                const power::BetaTimeModel& time_model,
-                                SimulationConfig config = {});
-
-/// Streaming counterpart: drives the simulation straight off a JobStream.
-SimulationResult run_simulation(wl::JobStream& stream,
-                                core::SchedulingPolicy& policy,
-                                const power::PowerModel& power_model,
-                                const power::BetaTimeModel& time_model,
-                                SimulationConfig config = {});
 
 }  // namespace bsld::sim

@@ -46,19 +46,6 @@ std::optional<Job> JobCleaner::accept(Job job) {
   return job;
 }
 
-CleanReport clean(Workload& workload, const CleanOptions& options) {
-  JobCleaner cleaner(options);
-  std::vector<Job> kept;
-  kept.reserve(workload.jobs.size());
-  for (const Job& job : workload.jobs) {
-    if (std::optional<Job> cleaned = cleaner.accept(job)) {
-      kept.push_back(*cleaned);
-    }
-  }
-  workload.jobs = std::move(kept);
-  return cleaner.report();
-}
-
 CleaningJobStream::CleaningJobStream(std::unique_ptr<JobStream> inner,
                                      CleanOptions options)
     : inner_(std::move(inner)), cleaner_(std::move(options)) {
@@ -72,23 +59,6 @@ std::optional<Job> CleaningJobStream::next() {
     }
   }
   return std::nullopt;
-}
-
-Workload slice(const Workload& workload, std::size_t first_index,
-               std::size_t count) {
-  BSLD_REQUIRE(first_index + count <= workload.jobs.size(),
-               "slice(): range exceeds workload size");
-  Workload out;
-  out.name = workload.name;
-  out.cpus = workload.cpus;
-  out.jobs.assign(workload.jobs.begin() + static_cast<std::ptrdiff_t>(first_index),
-                  workload.jobs.begin() +
-                      static_cast<std::ptrdiff_t>(first_index + count));
-  if (!out.jobs.empty()) {
-    const Time base = out.jobs.front().submit;
-    for (Job& job : out.jobs) job.submit -= base;
-  }
-  return out;
 }
 
 }  // namespace bsld::wl

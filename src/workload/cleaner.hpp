@@ -17,7 +17,7 @@
 
 namespace bsld::wl {
 
-/// Knobs for clean(); defaults follow the archive's cleaning conventions.
+/// Cleaning rules; defaults follow the archive's cleaning conventions.
 struct CleanOptions {
   /// Machine size; jobs requesting more processors are clamped (<= 0 keeps
   /// job sizes untouched).
@@ -44,9 +44,8 @@ struct CleanReport {
   std::size_t clamped_runtime = 0;
 };
 
-/// Incremental form of clean(): records are accepted one at a time in
-/// trace order, so an SWF file can be cleaned while it streams. clean() is
-/// a drain loop over this class — one rule set, two call shapes.
+/// Applies the cleaning rules to records accepted one at a time in trace
+/// order, so an SWF file can be cleaned while it streams.
 class JobCleaner {
  public:
   explicit JobCleaner(CleanOptions options) : options_(std::move(options)) {}
@@ -65,10 +64,6 @@ class JobCleaner {
   /// Sliding submission window per user for flurry detection.
   std::map<std::int32_t, std::deque<Time>> user_windows_;
 };
-
-/// Cleans `workload` in place; returns what happened. Jobs remain sorted by
-/// (submit, id) and keep their original ids.
-CleanReport clean(Workload& workload, const CleanOptions& options);
 
 /// Streaming adapter over JobCleaner: pulls from `inner` and yields only
 /// the records the cleaning rules keep. report() is complete once the
@@ -90,12 +85,5 @@ class CleaningJobStream final : public JobStream {
   std::unique_ptr<JobStream> inner_;
   JobCleaner cleaner_;
 };
-
-/// Extracts a contiguous `count`-job slice starting at `first_index`
-/// (0-based), re-basing submit times so the slice starts at t = 0. This is
-/// how the paper builds its "5000 job part of each workload". Throws
-/// bsld::Error when the slice is out of range.
-Workload slice(const Workload& workload, std::size_t first_index,
-               std::size_t count);
 
 }  // namespace bsld::wl

@@ -217,13 +217,15 @@ class RecordAdapter final : public JobStream {
   std::optional<Job> pending_;
 };
 
-/// Streaming kSwf pipeline: file → incremental parse → bounded (submit, id)
-/// sort → incremental clean → truncate/rebase. Matches the materialized
-/// parse_swf → stable_sort → clean → slice pipeline byte for byte: the
-/// cleaning rules applied here are per-record (flurry removal is off on
-/// this path), so they commute with the sort, and the truncation/rebase
-/// decision is made from a counting pre-pass over the whole file exactly
-/// when `source.jobs` would have sliced the materialized trace.
+/// Streaming kSwf source. Parses the file in file order, restores strict
+/// (submit, id) order through a bounded sort window (ties keep file
+/// order), and cleans each record: invalid records dropped, sizes clamped
+/// to the machine, estimates repaired. The rules are per-record (no
+/// flurry removal), so cleaning commutes with the sort. When `source.jobs`
+/// is set and the file keeps more records than that, only the first
+/// `jobs` kept records are emitted, with submits re-based so the first
+/// arrives at t = 0. That decision and the whole-file clean report come
+/// from a counting pre-pass over the file.
 class SwfSourceStream final : public JobStream {
  public:
   SwfSourceStream(const WorkloadSource& source, CleanReport* clean_report)

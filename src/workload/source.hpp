@@ -71,10 +71,10 @@ struct WorkloadSource {
 /// the lazy counterpart of load_source(), identical bytes guaranteed.
 /// Generated kinds (kArchive, kInline) stream straight from the arrival
 /// process in O(1) memory. kSwf streams the file through an incremental
-/// parse → bounded sort → clean pipeline; when `source.jobs` truncates the
-/// trace, a counting pre-pass over the file determines the slice length and
-/// submit rebase up front (O(file) time, O(1) memory), so the emitted jobs
-/// match the materialized parse → sort → clean → slice pipeline exactly.
+/// parse → bounded (submit, id) sort → clean pipeline; when `source.jobs`
+/// truncates the trace to its first `jobs` kept records (submits re-based
+/// to start at t = 0), a counting pre-pass over the file decides that up
+/// front (O(file) time, O(1) memory).
 /// MaxProcs is resolved from the header block preceding the first data
 /// record (where the SWF convention puts it).
 ///

@@ -4,8 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <fstream>
-#include <sstream>
-#include <tuple>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -86,14 +85,6 @@ void parse_header_line(std::string_view line,
 
 }  // namespace
 
-std::int32_t SwfTrace::max_procs(std::int32_t fallback) const {
-  const auto it = header.find("MaxProcs");
-  if (it == header.end()) return fallback;
-  std::int64_t value = 0;
-  if (!parse_int(it->second, value) || value <= 0) return fallback;
-  return static_cast<std::int32_t>(value);
-}
-
 SwfRecordStream::SwfRecordStream(std::istream& in, const SwfOptions& options)
     : in_(&in), options_(options) {}
 
@@ -166,32 +157,6 @@ std::optional<Job> SwfRecordStream::next() {
     return job;
   }
   return std::nullopt;
-}
-
-SwfTrace parse_swf(std::istream& in, const SwfOptions& options) {
-  SwfTrace trace;
-  SwfRecordStream records(in, options);
-  while (std::optional<Job> job = records.next()) {
-    trace.jobs.push_back(*job);
-  }
-  trace.header = records.header();
-  trace.skipped_lines = records.skipped_lines();
-  std::stable_sort(trace.jobs.begin(), trace.jobs.end(),
-                   [](const Job& a, const Job& b) {
-                     return std::tie(a.submit, a.id) < std::tie(b.submit, b.id);
-                   });
-  return trace;
-}
-
-SwfTrace parse_swf_text(const std::string& text, const SwfOptions& options) {
-  std::istringstream in(text);
-  return parse_swf(in, options);
-}
-
-SwfTrace load_swf_file(const std::string& path, const SwfOptions& options) {
-  std::ifstream in(path);
-  BSLD_REQUIRE(in.good(), "SWF: cannot open file `" + path + "`");
-  return parse_swf(in, options);
 }
 
 void write_swf(std::ostream& out, const Workload& workload) {

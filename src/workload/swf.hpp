@@ -16,29 +16,15 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "workload/job.hpp"
 
 namespace bsld::wl {
 
-/// Result of parsing an SWF stream: jobs plus header directives.
-struct SwfTrace {
-  std::vector<Job> jobs;
-  /// Header directives such as {"MaxProcs", "430"}; keys as written.
-  std::map<std::string, std::string> header;
-  /// Number of data lines skipped: structurally broken (< 18 fields),
-  /// unparsable mandatory fields, or unusable values (id/size <= 0).
-  std::size_t skipped_lines = 0;
-
-  /// MaxProcs directive as an integer, or `fallback` when absent/invalid.
-  [[nodiscard]] std::int32_t max_procs(std::int32_t fallback) const;
-};
-
 /// Parsing behaviour switches.
 struct SwfOptions {
   /// Lenient (default): a malformed record — short line or unparsable
-  /// mandatory field — is skipped and counted in `skipped_lines`, so one
+  /// mandatory field — is skipped and counted in skipped_lines(), so one
   /// bad line in a multi-million-job archive cannot abort an hours-long
   /// sweep. Strict: such a record throws bsld::Error naming the line
   /// number. Records whose values are merely unusable (id or size <= 0,
@@ -52,16 +38,20 @@ struct SwfOptions {
 /// cursor does not enforce or restore that — wrap it in a
 /// wl::SortingJobStream for strict (submit, id) order). Header directives
 /// and skip counts accumulate as lines are consumed; both are complete once
-/// next() has returned std::nullopt. This is the O(1)-memory primitive
-/// under parse_swf() and the streaming half of wl::open_stream().
+/// next() has returned std::nullopt. This is the O(1)-memory parser under
+/// wl::open_stream()'s SWF sources.
+///
+/// Missing optional fields (-1) fall back: the processor count from
+/// allocated to requested processors, the requested time to the actual
+/// runtime. Malformed records are skipped and counted (or rejected with
+/// their line number under SwfOptions::strict).
 ///
 /// The referenced istream must outlive the cursor.
 class SwfRecordStream {
  public:
   explicit SwfRecordStream(std::istream& in, const SwfOptions& options = {});
 
-  /// The next usable record, or std::nullopt at end of input. Applies the
-  /// same per-record fallbacks and skip/strict rules as parse_swf().
+  /// The next usable record, or std::nullopt at end of input.
   std::optional<Job> next();
 
   /// Header directives seen so far (complete after exhaustion; by SWF
@@ -84,20 +74,6 @@ class SwfRecordStream {
   std::size_t line_no_ = 0;
   std::string line_;
 };
-
-/// Parses SWF text. Tolerates missing optional fields (-1): processor count
-/// falls back from allocated to requested processors, requested time falls
-/// back to the actual runtime. Malformed records are skipped and counted
-/// (or rejected with their line number under `options.strict`).
-SwfTrace parse_swf(std::istream& in, const SwfOptions& options = {});
-
-/// Convenience overload over a string.
-SwfTrace parse_swf_text(const std::string& text,
-                        const SwfOptions& options = {});
-
-/// Reads and parses a file. Throws bsld::Error when it cannot be opened.
-SwfTrace load_swf_file(const std::string& path,
-                       const SwfOptions& options = {});
 
 /// Writes a workload as SWF (18 fields; unknown fields emitted as -1),
 /// including a small header with MaxProcs and the workload name.

@@ -37,7 +37,7 @@ TEST_F(ConservativeTest, BackfillsIntoHolesLikeEasy) {
   const auto result = testing::run(
       workload(4, {job(1, 0, 1000, 1200, 3), job(2, 10, 500, 600, 4),
                    job(3, 20, 100, 150, 1)}),
-      models_, BasePolicy::kConservative);
+      models_, testing::policy("conservative"));
   EXPECT_EQ(result.jobs[2].start, 20);
   EXPECT_EQ(result.jobs[1].start, 1000);
 }
@@ -52,7 +52,7 @@ TEST_F(ConservativeTest, ProtectsEveryReservationNotJustTheHead) {
   const auto result = testing::run(
       workload(4, {job(1, 0, 1000, 1000, 4), job(2, 10, 500, 500, 4),
                    job(3, 20, 200, 200, 4), job(4, 30, 950, 1000, 1)}),
-      models_, BasePolicy::kConservative);
+      models_, testing::policy("conservative"));
   // Plan: job2 @1000-1500, job3 @1500-1700, job4 may start @1700 or slot
   // into nothing earlier (its 1000 s crosses both reservations).
   EXPECT_EQ(result.jobs[1].start, 1000);
@@ -67,7 +67,7 @@ TEST_F(ConservativeTest, ShortJobUsesHoleBetweenReservations) {
   const auto result = testing::run(
       workload(4, {job(1, 0, 1000, 1000, 4), job(2, 10, 500, 500, 3),
                    job(3, 20, 200, 200, 4), job(4, 30, 400, 450, 1)}),
-      models_, BasePolicy::kConservative);
+      models_, testing::policy("conservative"));
   EXPECT_EQ(result.jobs[1].start, 1000);
   EXPECT_EQ(result.jobs[3].start, 1000);  // hole next to job 2
   EXPECT_EQ(result.jobs[2].start, 1500);  // still on time
@@ -76,7 +76,7 @@ TEST_F(ConservativeTest, ShortJobUsesHoleBetweenReservations) {
 TEST_F(ConservativeTest, EarlyCompletionCompressesSchedule) {
   const auto result = testing::run(
       workload(2, {job(1, 0, 300, 2000, 2), job(2, 10, 100, 200, 2)}),
-      models_, BasePolicy::kConservative);
+      models_, testing::policy("conservative"));
   EXPECT_EQ(result.jobs[1].start, 300);  // compressed to the real end
 }
 
@@ -86,7 +86,7 @@ TEST_F(ConservativeTest, ComposesWithDvfsAssigner) {
   dvfs.wq_threshold = std::nullopt;
   const auto result =
       testing::run(workload(4, {job(1, 0, 5000, 5400, 2)}), models_,
-                   BasePolicy::kConservative, dvfs);
+                   testing::policy("conservative", dvfs));
   EXPECT_EQ(result.jobs[0].gear, 0);
   EXPECT_EQ(result.reduced_jobs, 1);
 }
@@ -96,8 +96,9 @@ TEST_F(ConservativeTest, NeverWorseThanFcfsOnTheseTraces) {
       workload(8, {job(1, 0, 1000, 1200, 6), job(2, 10, 500, 600, 8),
                    job(3, 20, 100, 150, 2), job(4, 25, 200, 250, 1),
                    job(5, 40, 400, 500, 2)});
-  const auto cons = testing::run(load, models_, BasePolicy::kConservative);
-  const auto fcfs = testing::run(load, models_, BasePolicy::kFcfs);
+  const auto cons =
+      testing::run(load, models_, testing::policy("conservative"));
+  const auto fcfs = testing::run(load, models_, testing::policy("fcfs"));
   EXPECT_LE(cons.avg_wait, fcfs.avg_wait);
 }
 
@@ -108,8 +109,8 @@ TEST_F(ConservativeTest, DrainsEverythingDeterministically) {
                        300 + (i % 7) * 100, 1 + (i % 8)));
   }
   const wl::Workload load = workload(8, jobs);
-  const auto a = testing::run(load, models_, BasePolicy::kConservative);
-  const auto b = testing::run(load, models_, BasePolicy::kConservative);
+  const auto a = testing::run(load, models_, testing::policy("conservative"));
+  const auto b = testing::run(load, models_, testing::policy("conservative"));
   ASSERT_EQ(a.jobs.size(), 60u);
   for (std::size_t i = 0; i < a.jobs.size(); ++i) {
     EXPECT_EQ(a.jobs[i].start, b.jobs[i].start);

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "testing/helpers.hpp"
 #include "util/error.hpp"
 
@@ -23,8 +23,9 @@ class DynamicRaiseTest : public ::testing::Test {
     DvfsConfig dvfs;
     dvfs.bsld_threshold = bsld_threshold;
     dvfs.wq_threshold = std::nullopt;
-    const auto policy = make_dynamic_raise_policy(dvfs, raise, "FirstFit");
-    return sim::run_simulation(load, *policy, models_.power, models_.time);
+    PolicySpec spec = testing::policy("easy", dvfs);
+    spec.raise = raise;
+    return testing::run(load, models_, spec);
   }
 
   Models models_;
@@ -33,16 +34,21 @@ class DynamicRaiseTest : public ::testing::Test {
 TEST_F(DynamicRaiseTest, InvalidConfigRejected) {
   DynamicRaiseConfig raise;
   raise.queue_limit = -1;
-  EXPECT_THROW((void)make_dynamic_raise_policy(std::nullopt, raise), Error);
+  PolicySpec spec;
+  spec.raise = raise;
+  EXPECT_THROW((void)PolicyRegistry::global().make(spec), Error);
 }
 
 TEST_F(DynamicRaiseTest, NameDescribesRule) {
   DynamicRaiseConfig raise;
   raise.queue_limit = 4;
-  const auto policy = make_dynamic_raise_policy(std::nullopt, raise);
+  PolicySpec spec;
+  spec.raise = raise;
+  const auto policy = PolicyRegistry::global().make(spec);
   EXPECT_EQ(policy->name(), "EASY[FirstFit,Ftop]+raise>4,top");
   raise.one_step = true;
-  const auto stepper = make_dynamic_raise_policy(std::nullopt, raise);
+  spec.raise = raise;
+  const auto stepper = PolicyRegistry::global().make(spec);
   EXPECT_EQ(stepper->name(), "EASY[FirstFit,Ftop]+raise>4,step");
 }
 
@@ -123,7 +129,8 @@ TEST_F(DynamicRaiseTest, RaiseReducesBsldPenaltyVersusPlainDvfs) {
   DvfsConfig dvfs;
   dvfs.bsld_threshold = 3.0;
   dvfs.wq_threshold = std::nullopt;
-  const auto plain = testing::run(load, models_, BasePolicy::kEasy, dvfs);
+  const auto plain =
+      testing::run(load, models_, testing::policy("easy", dvfs));
 
   DynamicRaiseConfig raise;
   raise.queue_limit = 2;
@@ -132,7 +139,7 @@ TEST_F(DynamicRaiseTest, RaiseReducesBsldPenaltyVersusPlainDvfs) {
   EXPECT_LE(raised.avg_bsld, plain.avg_bsld);
   // Energy give-back: boosting burns more than plain DVFS but less than
   // the no-DVFS baseline.
-  const auto baseline = testing::run(load, models_, BasePolicy::kEasy);
+  const auto baseline = testing::run(load, models_);
   EXPECT_GE(raised.energy.computational_joules,
             plain.energy.computational_joules);
   EXPECT_LE(raised.energy.computational_joules,
@@ -142,7 +149,7 @@ TEST_F(DynamicRaiseTest, RaiseReducesBsldPenaltyVersusPlainDvfs) {
 TEST_F(DynamicRaiseTest, BoostGuardsInSimulation) {
   // boost_job on a non-running job / lowering gear must throw.
   const wl::Workload load = workload(2, {job(1, 0, 100, 200, 1)});
-  const auto policy = make_policy(BasePolicy::kEasy, std::nullopt);
+  const auto policy = PolicyRegistry::global().make({});
   sim::Simulation simulation(load, *policy, models_.power, models_.time);
   EXPECT_THROW(simulation.boost_job(1, 5), Error);  // nothing running yet
 }

@@ -104,7 +104,7 @@ TEST_F(EasyTest, ReservationGearAgnosticButStartGearDecidedLate) {
   dvfs.wq_threshold = std::nullopt;
   const auto result = testing::run(
       workload(2, {job(1, 0, 600, 4000, 2), job(2, 10, 7000, 7200, 2)}),
-      models_, BasePolicy::kEasy, dvfs);
+      models_, testing::policy("easy", dvfs));
   EXPECT_EQ(result.jobs[0].gear, 0);
   EXPECT_EQ(result.jobs[0].end, 1162);
   EXPECT_EQ(result.jobs[1].start, 1162);
@@ -126,7 +126,7 @@ TEST_F(EasyTest, DvfsDilationBlocksShadowCrossingBackfill) {
   const auto result = testing::run(
       workload(4, {job(1, 0, 1000, 1000, 3), job(2, 10, 500, 500, 4),
                    job(3, 20, 1150, 1200, 1)}),
-      models_, BasePolicy::kEasy, dvfs);
+      models_, testing::policy("easy", dvfs));
   EXPECT_EQ(result.jobs[0].gear, 0);
   EXPECT_EQ(result.jobs[2].start, 20);
   EXPECT_EQ(result.jobs[2].gear, 1);
@@ -140,7 +140,7 @@ TEST_F(EasyTest, WqThresholdGatesBackfilledJobs) {
   const auto result = testing::run(
       workload(4, {job(1, 0, 1000, 1000, 3), job(2, 10, 500, 500, 4),
                    job(3, 20, 100, 150, 1)}),
-      models_, BasePolicy::kEasy, dvfs);
+      models_, testing::policy("easy", dvfs));
   // Job 3 backfills at 20 but the queue holds job 2 -> Ftop.
   EXPECT_EQ(result.jobs[2].start, 20);
   EXPECT_EQ(result.jobs[2].gear, models_.gears.top_index());
@@ -152,7 +152,7 @@ TEST_F(EasyTest, LoneArrivalOnEmptyMachineGetsDvfs) {
   dvfs.wq_threshold = 0;
   const auto result =
       testing::run(workload(4, {job(1, 0, 5000, 5400, 2)}), models_,
-                   BasePolicy::kEasy, dvfs);
+                   testing::policy("easy", dvfs));
   EXPECT_EQ(result.jobs[0].gear, 0);  // empty queue: WQ=0 still allows DVFS
 }
 

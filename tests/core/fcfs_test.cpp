@@ -33,7 +33,7 @@ TEST_F(FcfsTest, NoOvertakingEvenWhenBackfillWouldFit) {
   const auto result = testing::run(
       workload(4, {job(1, 0, 1000, 1200, 3), job(2, 10, 500, 600, 4),
                    job(3, 20, 100, 150, 1)}),
-      models_, BasePolicy::kFcfs);
+      models_, testing::policy("fcfs"));
   EXPECT_EQ(result.jobs[0].start, 0);
   EXPECT_EQ(result.jobs[1].start, 1000);
   EXPECT_EQ(result.jobs[2].start, 1500);  // strictly after job 2
@@ -42,7 +42,7 @@ TEST_F(FcfsTest, NoOvertakingEvenWhenBackfillWouldFit) {
 TEST_F(FcfsTest, HeadStartsAsSoonAsItFits) {
   const auto result = testing::run(
       workload(4, {job(1, 0, 100, 100, 2), job(2, 0, 100, 100, 2)}),
-      models_, BasePolicy::kFcfs);
+      models_, testing::policy("fcfs"));
   EXPECT_EQ(result.jobs[0].start, 0);
   EXPECT_EQ(result.jobs[1].start, 0);  // both fit side by side
 }
@@ -51,7 +51,7 @@ TEST_F(FcfsTest, DrainsMultipleHeadsOnOneCompletion) {
   const auto result = testing::run(
       workload(4, {job(1, 0, 100, 100, 4), job(2, 1, 50, 60, 2),
                    job(3, 2, 50, 60, 2)}),
-      models_, BasePolicy::kFcfs);
+      models_, testing::policy("fcfs"));
   EXPECT_EQ(result.jobs[1].start, 100);
   EXPECT_EQ(result.jobs[2].start, 100);  // both start when job 1 frees
 }
@@ -63,7 +63,7 @@ TEST_F(FcfsTest, DvfsAssignerComposesWithFcfs) {
   dvfs.wq_threshold = std::nullopt;
   const auto result =
       testing::run(workload(4, {job(1, 0, 5000, 5400, 2)}), models_,
-                   BasePolicy::kFcfs, dvfs);
+                   testing::policy("fcfs", dvfs));
   EXPECT_EQ(result.jobs[0].gear, 0);
   EXPECT_EQ(result.reduced_jobs, 1);
 }
@@ -74,8 +74,8 @@ TEST_F(FcfsTest, EasyNeverWorseOnTheseTraces) {
   const wl::Workload load =
       workload(4, {job(1, 0, 1000, 1200, 3), job(2, 10, 500, 600, 4),
                    job(3, 20, 100, 150, 1), job(4, 25, 200, 250, 1)});
-  const auto easy = testing::run(load, models_, BasePolicy::kEasy);
-  const auto fcfs = testing::run(load, models_, BasePolicy::kFcfs);
+  const auto easy = testing::run(load, models_);
+  const auto fcfs = testing::run(load, models_, testing::policy("fcfs"));
   EXPECT_LE(easy.avg_wait, fcfs.avg_wait);
 }
 

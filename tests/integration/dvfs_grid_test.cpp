@@ -34,7 +34,8 @@ TEST_P(DvfsGridTest, CellInvariants) {
   core::DvfsConfig dvfs;
   dvfs.bsld_threshold = threshold;
   dvfs.wq_threshold = wq;
-  const auto run = testing::run(load, models_, core::BasePolicy::kEasy, dvfs);
+  const auto run =
+      testing::run(load, models_, testing::policy("easy", dvfs));
   const auto baseline = testing::run(load, models_);
 
   // DVFS can only consume less or equal computational energy than the
@@ -79,7 +80,7 @@ class DvfsDominanceTest : public ::testing::TestWithParam<std::uint64_t> {
     core::DvfsConfig dvfs;
     dvfs.bsld_threshold = threshold;
     dvfs.wq_threshold = wq;
-    return testing::run(load, models_, core::BasePolicy::kEasy, dvfs);
+    return testing::run(load, models_, testing::policy("easy", dvfs));
   }
   testing::Models models_;
 };

@@ -21,7 +21,7 @@ TEST(PerJobBetaTest, BetaZeroJobsDontDilate) {
   dvfs.bsld_threshold = 2.0;
   dvfs.wq_threshold = std::nullopt;
   const auto result =
-      testing::run(load, models, core::BasePolicy::kEasy, dvfs);
+      testing::run(load, models, testing::policy("easy", dvfs));
   // beta=0: lowest gear is free -> chosen, runtime unchanged.
   EXPECT_EQ(result.jobs[0].gear, 0);
   EXPECT_EQ(result.jobs[0].scaled_runtime, 1000);

@@ -12,13 +12,13 @@ namespace {
 struct PropertyCase {
   std::int32_t cpus;
   double load;
-  core::BasePolicy base;
+  const char* policy;  ///< PolicyRegistry key.
   bool dvfs;
   std::optional<std::int64_t> wq;
 
   friend std::ostream& operator<<(std::ostream& os, const PropertyCase& c) {
     return os << "cpus" << c.cpus << "_load" << c.load << "_"
-              << (c.base == core::BasePolicy::kEasy ? "easy" : "fcfs")
+              << c.policy
               << (c.dvfs ? "_dvfs" : "_top");
   }
 };
@@ -42,7 +42,7 @@ class SimulationPropertyTest
       config.wq_threshold = c.wq;
       dvfs = config;
     }
-    return testing::run(load, models_, c.base, dvfs);
+    return testing::run(load, models_, testing::policy(c.policy, dvfs));
   }
 
   testing::Models models_;
@@ -108,16 +108,16 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SimulationPropertyTest,
     ::testing::Combine(
         ::testing::Values(
-            PropertyCase{16, 0.5, core::BasePolicy::kEasy, false, {}},
-            PropertyCase{16, 1.1, core::BasePolicy::kEasy, false, {}},
-            PropertyCase{64, 0.8, core::BasePolicy::kEasy, true,
+            PropertyCase{16, 0.5, "easy", false, {}},
+            PropertyCase{16, 1.1, "easy", false, {}},
+            PropertyCase{64, 0.8, "easy", true,
                          std::nullopt},
-            PropertyCase{64, 0.8, core::BasePolicy::kEasy, true,
+            PropertyCase{64, 0.8, "easy", true,
                          std::int64_t{0}},
-            PropertyCase{64, 1.2, core::BasePolicy::kEasy, true,
+            PropertyCase{64, 1.2, "easy", true,
                          std::int64_t{4}},
-            PropertyCase{32, 0.7, core::BasePolicy::kFcfs, false, {}},
-            PropertyCase{32, 0.7, core::BasePolicy::kFcfs, true,
+            PropertyCase{32, 0.7, "fcfs", false, {}},
+            PropertyCase{32, 0.7, "fcfs", true,
                          std::nullopt}),
         ::testing::Values(11u, 29u, 83u)));
 
@@ -137,10 +137,10 @@ TEST_P(SelectorInvarianceTest, FirstFitAndLastFitAgreeOnMetrics) {
   core::DvfsConfig dvfs;
   dvfs.bsld_threshold = 2.0;
   dvfs.wq_threshold = 16;
-  const auto first =
-      testing::run(load, models, core::BasePolicy::kEasy, dvfs, "FirstFit");
-  const auto last =
-      testing::run(load, models, core::BasePolicy::kEasy, dvfs, "LastFit");
+  core::PolicySpec policy = testing::policy("easy", dvfs);
+  const auto first = testing::run(load, models, policy);
+  policy.selector = "LastFit";
+  const auto last = testing::run(load, models, policy);
   EXPECT_DOUBLE_EQ(first.avg_bsld, last.avg_bsld);
   EXPECT_DOUBLE_EQ(first.avg_wait, last.avg_wait);
   EXPECT_EQ(first.reduced_jobs, last.reduced_jobs);

@@ -8,18 +8,18 @@
 namespace bsld {
 namespace {
 
-using core::BasePolicy;
 using testing::Models;
 using testing::job;
 using testing::workload;
 
 class ScenarioTest : public ::testing::Test {
  protected:
-  core::DvfsConfig dvfs(double threshold, std::optional<std::int64_t> wq) {
+  /// EASY under the paper's DVFS policy with these thresholds.
+  core::PolicySpec dvfs(double threshold, std::optional<std::int64_t> wq) {
     core::DvfsConfig config;
     config.bsld_threshold = threshold;
     config.wq_threshold = wq;
-    return config;
+    return testing::policy("easy", config);
   }
 
   Models models_;
@@ -34,8 +34,7 @@ TEST_F(ScenarioTest, DvfsSavesEnergyOnLightLoad) {
   }
   const wl::Workload load = workload(8, jobs);
   const auto baseline = testing::run(load, models_);
-  const auto reduced = testing::run(load, models_, BasePolicy::kEasy,
-                                    dvfs(2.0, std::nullopt));
+  const auto reduced = testing::run(load, models_, dvfs(2.0, std::nullopt));
   EXPECT_EQ(reduced.reduced_jobs, 10);
   const double ratio = reduced.energy.computational_joules /
                        baseline.energy.computational_joules;
@@ -50,7 +49,7 @@ TEST_F(ScenarioTest, SaturationSuppressesDvfs) {
     jobs.push_back(job(i + 1, i, 7000, 7200, 8));
   }
   const auto result = testing::run(workload(8, jobs), models_,
-                                   BasePolicy::kEasy, dvfs(2.0, std::nullopt));
+                                   dvfs(2.0, std::nullopt));
   EXPECT_LE(result.reduced_jobs, 1);  // only the first, zero-wait job
 }
 
@@ -63,9 +62,9 @@ TEST_F(ScenarioTest, WqGateStopsCascadingSlowdown) {
   }
   const wl::Workload load = workload(8, jobs);
   const auto gated =
-      testing::run(load, models_, BasePolicy::kEasy, dvfs(3.0, 0));
+      testing::run(load, models_, dvfs(3.0, 0));
   const auto open =
-      testing::run(load, models_, BasePolicy::kEasy, dvfs(3.0, std::nullopt));
+      testing::run(load, models_, dvfs(3.0, std::nullopt));
   EXPECT_LE(gated.reduced_jobs, open.reduced_jobs);
   EXPECT_LE(gated.avg_wait, open.avg_wait);
   EXPECT_GE(open.avg_bsld, gated.avg_bsld);
@@ -77,8 +76,8 @@ TEST_F(ScenarioTest, ThresholdControlsGearChoice) {
       workload(4, {job(1, 0, 2000, 2400, 4), job(2, 10, 7000, 7200, 4)});
   GearIndex previous_gear = 0;
   for (const double threshold : {3.0, 2.0, 1.5}) {
-    const auto result = testing::run(load, models_, BasePolicy::kEasy,
-                                     dvfs(threshold, std::nullopt));
+    const auto result =
+        testing::run(load, models_, dvfs(threshold, std::nullopt));
     EXPECT_GE(result.jobs[1].gear, previous_gear);
     previous_gear = result.jobs[1].gear;
   }
@@ -91,13 +90,11 @@ TEST_F(ScenarioTest, EnlargedSystemImprovesBsldAndComputationalEnergy) {
     jobs.push_back(job(i + 1, i * 500, 4000, 4500, 4 + (i % 5)));
   }
   const wl::Workload load = workload(16, jobs);
-  const auto original = testing::run(load, models_, BasePolicy::kEasy,
-                                     dvfs(2.0, std::nullopt));
+  const auto original = testing::run(load, models_, dvfs(2.0, std::nullopt));
   sim::SimulationConfig enlarged;
   enlarged.cpus = 24;
-  const auto bigger = testing::run(load, models_, BasePolicy::kEasy,
-                                   dvfs(2.0, std::nullopt), "FirstFit",
-                                   enlarged);
+  const auto bigger =
+      testing::run(load, models_, dvfs(2.0, std::nullopt), enlarged);
   EXPECT_LT(bigger.avg_bsld, original.avg_bsld);
   EXPECT_LE(bigger.energy.computational_joules,
             original.energy.computational_joules);
@@ -107,7 +104,7 @@ TEST_F(ScenarioTest, PenalizedRuntimeEntersBsld) {
   // A lone reduced job has BSLD == its dilation coefficient (long job).
   const auto result =
       testing::run(workload(4, {job(1, 0, 5000, 5400, 2)}), models_,
-                   BasePolicy::kEasy, dvfs(2.0, std::nullopt));
+                   dvfs(2.0, std::nullopt));
   EXPECT_EQ(result.jobs[0].gear, 0);
   EXPECT_NEAR(result.jobs[0].bsld, 1.9375, 0.001);
 }

@@ -74,8 +74,8 @@ TEST(StreamingScaleTest, StreamingAggregatesMatchMaterializedPrefix) {
 
 TEST(StreamingScaleTest, StreamDecoratorsReproduceTheEagerTransforms) {
   // Machine scaling below 1 clamps job sizes and per-job beta draws one
-  // value per trace position — both are applied by stream decorators on
-  // the lazy path and must reproduce run_workload()'s loops exactly.
+  // value per trace position — applied as jobs are pulled, they must give
+  // the same jobs whether the trace was materialized first or not.
   RunSpec spec;
   spec.workload = wl::WorkloadSource::from_archive(wl::Archive::kSDSC, 5000);
   spec.size_scale = 0.8;  // scaled machine smaller: sizes clamp.

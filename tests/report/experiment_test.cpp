@@ -132,6 +132,26 @@ TEST(RunWorkloadTest, SizeScaleAppliesToHandBuiltWorkloads) {
   EXPECT_EQ(result.sim().jobs[0].size, 4);
 }
 
+TEST(RunWorkloadTest, UnsortedHandBuiltListLongerThanTheLookahead) {
+  // More jobs than a stream's default submit lookahead, the last one
+  // submitted first: run_workload admits the whole list before the first
+  // event, so a hand-built list need not be sorted at any length.
+  const std::int64_t count = sim::SimulationConfig{}.submit_lookahead + 100;
+  wl::Workload load;
+  load.name = "unsorted";
+  load.cpus = 4;
+  for (std::int64_t id = 1; id < count; ++id) {
+    load.jobs.push_back({id, id * 10, 5, 5, 1, 0, -1.0});
+  }
+  load.jobs.push_back({count, 0, 5, 5, 1, 0, -1.0});
+
+  const RunResult result = run_workload(load, RunSpec{});
+  EXPECT_EQ(result.sim().job_count, count);
+  ASSERT_EQ(result.sim().jobs.size(), static_cast<std::size_t>(count));
+  EXPECT_EQ(result.sim().jobs.back().id, count);
+  EXPECT_EQ(result.sim().jobs.back().start, 0);
+}
+
 TEST(RunOneTest, InvalidScaleRejected) {
   RunSpec spec;
   spec.size_scale = 0.0;

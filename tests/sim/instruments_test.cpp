@@ -117,8 +117,7 @@ TEST(WaitQueueTraceTest, TracksPerJobWaitsAndQueueDepth) {
   Models models;
   const wl::Workload load =
       workload(2, {job(1, 0, 700, 700, 2), job(2, 0, 700, 700, 2)});
-  const auto policy =
-      core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+  const auto policy = core::PolicyRegistry::global().make({});
   Simulation simulation(load, *policy, models.power, models.time);
   WaitQueueTrace trace;
   simulation.add_observer(trace);
@@ -153,8 +152,7 @@ TEST(UtilizationTraceTest, PiecewiseBusyCoresAndPower) {
   Models models;
   const wl::Workload load =
       workload(4, {job(1, 0, 100, 120, 3), job(2, 0, 200, 220, 1)});
-  const auto policy =
-      core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+  const auto policy = core::PolicyRegistry::global().make({});
   Simulation simulation(load, *policy, models.power, models.time);
   UtilizationTrace trace(models.power);
   simulation.add_observer(trace);

@@ -82,8 +82,7 @@ TEST_F(ObserverTest, HooksFireInEventOrderWithFullPayloads) {
   // finish 1, start 2, finish 2.
   const wl::Workload load =
       workload(2, {job(1, 0, 100, 120, 2), job(2, 10, 50, 60, 2)});
-  const auto policy =
-      core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+  const auto policy = core::PolicyRegistry::global().make({});
   Simulation simulation(load, *policy, models_.power, models_.time);
   RecordingObserver observer;
   simulation.add_observer(observer);
@@ -119,7 +118,9 @@ TEST_F(ObserverTest, BoostSegmentsReportedThroughOnGearChange) {
   dvfs.wq_threshold = std::nullopt;
   core::DynamicRaiseConfig raise;
   raise.queue_limit = 0;
-  const auto policy = core::make_dynamic_raise_policy(dvfs, raise, "FirstFit");
+  core::PolicySpec spec = testing::policy("easy", dvfs);
+  spec.raise = raise;
+  const auto policy = core::PolicyRegistry::global().make(spec);
 
   const wl::Workload load =
       workload(4, {job(1, 0, 1000, 1200, 4), job(2, 500, 100, 150, 4)});
@@ -160,8 +161,7 @@ TEST_F(ObserverTest, StreamingModeDropsJobsButKeepsAggregates) {
 
   SimulationConfig config;
   config.retain_jobs = false;
-  const auto streaming = testing::run(load, models_, core::BasePolicy::kEasy,
-                                      std::nullopt, "FirstFit", config);
+  const auto streaming = testing::run(load, models_, {}, config);
 
   EXPECT_TRUE(streaming.jobs.empty());
   EXPECT_EQ(streaming.job_count, 2);
@@ -176,8 +176,7 @@ TEST_F(ObserverTest, StreamingModeDropsJobsButKeepsAggregates) {
 
 TEST_F(ObserverTest, AddObserverAfterRunThrows) {
   const wl::Workload load = workload(2, {job(1, 0, 10, 20, 1)});
-  const auto policy =
-      core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+  const auto policy = core::PolicyRegistry::global().make({});
   Simulation simulation(load, *policy, models_.power, models_.time);
   (void)simulation.run();
   RecordingObserver observer;
@@ -193,8 +192,7 @@ TEST_F(ObserverTest, ObserversSeeIdenticalStreamsAcrossIdenticalRuns) {
   RecordingObserver first;
   RecordingObserver second;
   for (RecordingObserver* observer : {&first, &second}) {
-    const auto policy =
-        core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+    const auto policy = core::PolicyRegistry::global().make({});
     Simulation simulation(load, *policy, models_.power, models_.time);
     simulation.add_observer(*observer);
     (void)simulation.run();

@@ -62,11 +62,11 @@ TEST(PmDriver, NoneManagerIsBitIdenticalToNoManager) {
   for (const auto& dvfs : {std::optional<core::DvfsConfig>{},
                            std::optional<core::DvfsConfig>{core::DvfsConfig{}}}) {
     const SimulationResult bare =
-        run(load, models, core::BasePolicy::kEasy, dvfs);
+        run(load, models, testing::policy("easy", dvfs));
     SimulationConfig config;
     config.power_manager = none.get();
     const SimulationResult managed =
-        run(load, models, core::BasePolicy::kEasy, dvfs, "FirstFit", config);
+        run(load, models, testing::policy("easy", dvfs), config);
     expect_identical(bare, managed);
   }
 }
@@ -84,9 +84,7 @@ TEST(PmDriver, CapThrottleDilatesTheRun) {
 
   SimulationConfig config;
   config.power_manager = manager.get();
-  const SimulationResult capped =
-      run(load, models, core::BasePolicy::kEasy, std::nullopt, "FirstFit",
-          config);
+  const SimulationResult capped = run(load, models, {}, config);
   ASSERT_EQ(capped.jobs.size(), 1U);
   EXPECT_EQ(capped.jobs[0].gear, 2);
   EXPECT_EQ(capped.makespan, models.time.scale_duration(1000, 2));
@@ -113,9 +111,7 @@ TEST(PmDriver, GatedAdmissionRunsAfterTheBudgetFrees) {
 
   SimulationConfig config;
   config.power_manager = manager.get();
-  const SimulationResult capped =
-      run(load, models, core::BasePolicy::kEasy, std::nullopt, "FirstFit",
-          config);
+  const SimulationResult capped = run(load, models, {}, config);
   const Time dilated = models.time.scale_duration(100, 1);
   ASSERT_EQ(capped.jobs.size(), 2U);
   EXPECT_EQ(capped.jobs[0].end, dilated);
@@ -142,9 +138,7 @@ TEST(PmDriver, SleepWakeLatencyShiftsTheSecondJob) {
 
   SimulationConfig config;
   config.power_manager = manager.get();
-  const SimulationResult slept =
-      run(load, models, core::BasePolicy::kEasy, std::nullopt, "FirstFit",
-          config);
+  const SimulationResult slept = run(load, models, {}, config);
   const SimulationResult awake = run(load, models);
   ASSERT_EQ(slept.jobs.size(), 2U);
   EXPECT_EQ(awake.jobs[1].end, 1010);
@@ -172,8 +166,7 @@ TEST(PmDriver, SetpointRunsAreDeterministicAndBinding) {
         make_manager(spec, models);
     SimulationConfig config;
     config.power_manager = manager.get();
-    return run(load, models, core::BasePolicy::kEasy, std::nullopt,
-               "FirstFit", config);
+    return run(load, models, {}, config);
   };
   const SimulationResult first = run_once();
   const SimulationResult second = run_once();
@@ -183,6 +176,44 @@ TEST(PmDriver, SetpointRunsAreDeterministicAndBinding) {
   // the cluster and the run stretches past the unmanaged one.
   const SimulationResult free_run = run(load, models);
   EXPECT_GT(first.makespan, free_run.makespan);
+}
+
+/// Emits a full observer batch of informational kCapChange events from
+/// inside every start hook, so the batch flushes — and the job-window
+/// eviction sweep runs — while the job being started is mid-start.
+class BatchFillingManager final : public pm::PowerManager {
+ public:
+  /// Simulation's observer batch capacity: this many emits always flush.
+  static constexpr int kBatchCapacity = 128;
+
+  [[nodiscard]] const char* name() const override { return "batch-filling"; }
+  pm::StartDecision on_job_start(pm::PmContext& context, JobId id,
+                                 const std::vector<CpuId>& cpus,
+                                 GearIndex gear) override {
+    (void)cpus;
+    for (int i = 0; i < kBatchCapacity; ++i) {
+      pm::PmEvent event;
+      event.kind = pm::PmEventKind::kCapChange;
+      event.time = context.now();
+      event.job = id;
+      context.emit(event);
+    }
+    return pm::StartDecision{false, gear, 0};
+  }
+};
+
+TEST(PmDriver, StartHookFlushKeepsTheStartingJobResident) {
+  // Job 1 is the window's front when it starts at t = 0; the flush its
+  // start hook forces must not retire it before it is marked running.
+  const Models models;
+  const wl::Workload load = mixed_workload();
+  BatchFillingManager manager;
+  SimulationConfig config;
+  config.power_manager = &manager;
+  const SimulationResult managed = run(load, models, {}, config);
+  EXPECT_EQ(managed.job_count, static_cast<std::int64_t>(load.jobs.size()));
+  // The events are informational: the schedule is the unmanaged one.
+  expect_identical(managed, run(load, models));
 }
 
 }  // namespace

@@ -89,8 +89,7 @@ TEST_F(SimulationTest, BsldFloorConfigurable) {
   config.bsld_floor = 100;
   const auto result =
       testing::run(workload(1, {job(1, 0, 50, 60, 1), job(2, 0, 50, 60, 1)}),
-                   models_, core::BasePolicy::kEasy, std::nullopt, "FirstFit",
-                   config);
+                   models_, {}, config);
   // Job 2 waits 50 s: BSLD = (50 + 50)/max(100, 50) = 1.
   EXPECT_DOUBLE_EQ(result.jobs[1].bsld, 1.0);
 }
@@ -101,7 +100,7 @@ TEST_F(SimulationTest, DvfsDilatesRuntimeAndCountsReduced) {
   dvfs.wq_threshold = std::nullopt;
   const auto result = testing::run(
       workload(4, {job(1, 0, 1000, 1200, 2)}), models_,
-      core::BasePolicy::kEasy, dvfs);
+      testing::policy("easy", dvfs));
   // Lone long job, zero wait: predicted BSLD at the lowest gear is
   // coef(0) = 1.9375 <= 2 -> runs at 0.8 GHz. (In binary floating point
   // 1000 * coef lands just below 1937.5, so rounding gives 1937.)
@@ -117,8 +116,7 @@ TEST_F(SimulationTest, EnlargedMachineViaConfig) {
   config.cpus = 8;
   const auto result =
       testing::run(workload(4, {job(1, 0, 100, 100, 4), job(2, 0, 100, 100, 4)}),
-                   models_, core::BasePolicy::kEasy, std::nullopt, "FirstFit",
-                   config);
+                   models_, {}, config);
   EXPECT_EQ(result.cpus, 8);
   // Both fit simultaneously on the enlarged machine.
   EXPECT_EQ(result.jobs[1].start, 0);
@@ -139,8 +137,7 @@ TEST_F(SimulationTest, InvalidWorkloadsRejected) {
 
 TEST_F(SimulationTest, RunIsSingleShot) {
   const wl::Workload load = workload(2, {job(1, 0, 10, 20, 1)});
-  const auto policy =
-      core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+  const auto policy = core::PolicyRegistry::global().make({});
   Simulation simulation(load, *policy, models_.power, models_.time);
   (void)simulation.run();
   EXPECT_THROW((void)simulation.run(), Error);
@@ -148,8 +145,7 @@ TEST_F(SimulationTest, RunIsSingleShot) {
 
 TEST_F(SimulationTest, MismatchedGearSetsRejected) {
   const wl::Workload load = workload(2, {job(1, 0, 10, 20, 1)});
-  const auto policy =
-      core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+  const auto policy = core::PolicyRegistry::global().make({});
   const cluster::GearSet other({{1.0, 1.0}, {2.0, 1.2}});
   const power::BetaTimeModel other_time(other, 0.5);
   EXPECT_THROW(Simulation(load, *policy, models_.power, other_time), Error);
@@ -192,13 +188,13 @@ TEST_F(SimulationTest, StreamingRunMatchesMaterializedAtEveryLookahead) {
   const auto materialized = testing::run(load, models_);
 
   for (const std::int64_t lookahead : {1, 2, 3, 100}) {
-    const auto policy =
-        core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+    const auto policy = core::PolicyRegistry::global().make({});
     wl::WorkloadViewStream stream(load);
     SimulationConfig config;
     config.submit_lookahead = lookahead;
-    const auto streamed = run_simulation(stream, *policy, models_.power,
-                                         models_.time, config);
+    Simulation simulation(stream, *policy, models_.power, models_.time,
+                          config);
+    const auto streamed = simulation.run();
     EXPECT_EQ(streamed.events_processed, materialized.events_processed);
     EXPECT_EQ(streamed.avg_bsld, materialized.avg_bsld) << lookahead;
     EXPECT_EQ(streamed.makespan, materialized.makespan);
@@ -224,13 +220,12 @@ TEST_F(SimulationTest, StreamingRunReportsWindowBoundedPeak) {
   const auto materialized = testing::run(load, models_);
   EXPECT_EQ(materialized.peak_live_jobs, 300);
 
-  const auto policy =
-      core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+  const auto policy = core::PolicyRegistry::global().make({});
   wl::WorkloadViewStream stream(load);
   SimulationConfig config;
   config.submit_lookahead = 2;
-  const auto streamed =
-      run_simulation(stream, *policy, models_.power, models_.time, config);
+  Simulation simulation(stream, *policy, models_.power, models_.time, config);
+  const auto streamed = simulation.run();
   EXPECT_EQ(streamed.avg_bsld, materialized.avg_bsld);
   EXPECT_GT(streamed.peak_live_jobs, 0);
   EXPECT_LE(streamed.peak_live_jobs, 64);  // flush-cadence bound, not 300.
@@ -241,14 +236,12 @@ TEST_F(SimulationTest, StreamingRejectsUnsortedStreams) {
   // stream must be rejected, not silently mis-simulated.
   const wl::Workload unsorted =
       workload(4, {job(2, 100, 10, 20, 1), job(1, 0, 10, 20, 1)});
-  const auto policy =
-      core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
+  const auto policy = core::PolicyRegistry::global().make({});
   wl::WorkloadViewStream stream(unsorted);
   SimulationConfig config;
   config.submit_lookahead = 1;
-  EXPECT_THROW((void)run_simulation(stream, *policy, models_.power,
-                                    models_.time, config),
-               Error);
+  Simulation simulation(stream, *policy, models_.power, models_.time, config);
+  EXPECT_THROW((void)simulation.run(), Error);
 }
 
 }  // namespace

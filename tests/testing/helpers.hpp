@@ -6,10 +6,13 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/gears.hpp"
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "core/scheduler.hpp"
 #include "power/power_model.hpp"
 #include "power/time_model.hpp"
@@ -47,15 +50,24 @@ struct Models {
   power::BetaTimeModel time{gears, 0.5};
 };
 
-/// Runs `workload` through a freshly-built policy and returns the result.
-inline sim::SimulationResult run(
-    const wl::Workload& load, const Models& models,
-    core::BasePolicy base = core::BasePolicy::kEasy,
-    std::optional<core::DvfsConfig> dvfs = std::nullopt,
-    const std::string& selector = "FirstFit",
-    sim::SimulationConfig config = {}) {
-  const auto policy = core::make_policy(base, dvfs, selector);
-  return sim::run_simulation(load, *policy, models.power, models.time, config);
+/// PolicySpec shorthand: the registry policy `name` (FirstFit selector)
+/// with an optional DVFS config.
+inline core::PolicySpec policy(
+    std::string name, std::optional<core::DvfsConfig> dvfs = std::nullopt) {
+  core::PolicySpec spec;
+  spec.name = std::move(name);
+  spec.dvfs = dvfs;
+  return spec;
+}
+
+/// Runs `load` through a freshly-built `policy` (EASY + FirstFit, no DVFS,
+/// by default) and returns the result.
+inline sim::SimulationResult run(const wl::Workload& load, const Models& models,
+                                 const core::PolicySpec& policy = {},
+                                 sim::SimulationConfig config = {}) {
+  const auto built = core::PolicyRegistry::global().make(policy);
+  sim::Simulation simulation(load, *built, models.power, models.time, config);
+  return simulation.run();
 }
 
 /// Minimal SchedulerContext: a machine snapshot, a job table, and a fixed

@@ -2,73 +2,76 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.hpp"
+#include <memory>
+#include <vector>
 
 namespace bsld::wl {
 namespace {
 
-Workload make_workload(std::vector<Job> jobs) {
+/// The jobs a CleaningJobStream keeps from `jobs`, and its final report.
+struct Cleaned {
+  std::vector<Job> jobs;
+  CleanReport report;
+};
+
+Cleaned clean_jobs(std::vector<Job> jobs, const CleanOptions& options = {}) {
   Workload workload;
   workload.name = "test";
   workload.cpus = 100;
   workload.jobs = std::move(jobs);
-  return workload;
+  CleaningJobStream stream(
+      std::make_unique<VectorJobStream>(std::move(workload)), options);
+  Cleaned out;
+  out.jobs = materialize(stream).jobs;
+  out.report = stream.report();
+  return out;
 }
 
 TEST(CleanerTest, DropsInvalidRecords) {
-  Workload workload = make_workload({
+  const Cleaned cleaned = clean_jobs({
       {1, 0, 100, 200, 4, 0},
       {2, 0, 100, 200, 0, 0},    // size 0
       {3, 0, -5, 200, 4, 0},     // negative runtime
       {4, -1, 100, 200, 4, 0},   // negative submit
   });
-  const CleanReport report = clean(workload, {});
-  EXPECT_EQ(report.kept, 1u);
-  EXPECT_EQ(report.dropped_invalid, 3u);
-  ASSERT_EQ(workload.jobs.size(), 1u);
-  EXPECT_EQ(workload.jobs[0].id, 1);
+  EXPECT_EQ(cleaned.report.kept, 1u);
+  EXPECT_EQ(cleaned.report.dropped_invalid, 3u);
+  ASSERT_EQ(cleaned.jobs.size(), 1u);
+  EXPECT_EQ(cleaned.jobs[0].id, 1);
 }
 
 TEST(CleanerTest, DropsZeroRuntimeByDefaultKeepsWhenDisabled) {
-  Workload workload = make_workload({{1, 0, 0, 200, 4, 0}});
   CleanOptions options;
-  const CleanReport dropped = clean(workload, options);
-  EXPECT_EQ(dropped.kept, 0u);
+  EXPECT_EQ(clean_jobs({{1, 0, 0, 200, 4, 0}}, options).report.kept, 0u);
 
-  workload = make_workload({{1, 0, 0, 200, 4, 0}});
   options.drop_zero_runtime = false;
-  const CleanReport kept = clean(workload, options);
-  EXPECT_EQ(kept.kept, 1u);
+  EXPECT_EQ(clean_jobs({{1, 0, 0, 200, 4, 0}}, options).report.kept, 1u);
 }
 
 TEST(CleanerTest, ClampsOversizedJobs) {
-  Workload workload = make_workload({{1, 0, 100, 200, 500, 0}});
   CleanOptions options;
   options.machine_cpus = 100;
-  const CleanReport report = clean(workload, options);
-  EXPECT_EQ(report.clamped_size, 1u);
-  EXPECT_EQ(workload.jobs[0].size, 100);
+  const Cleaned cleaned = clean_jobs({{1, 0, 100, 200, 500, 0}}, options);
+  EXPECT_EQ(cleaned.report.clamped_size, 1u);
+  EXPECT_EQ(cleaned.jobs[0].size, 100);
 }
 
 TEST(CleanerTest, NoClampWhenMachineUnknown) {
-  Workload workload = make_workload({{1, 0, 100, 200, 500, 0}});
   CleanOptions options;
   options.machine_cpus = 0;
-  clean(workload, options);
-  EXPECT_EQ(workload.jobs[0].size, 500);
+  const Cleaned cleaned = clean_jobs({{1, 0, 100, 200, 500, 0}}, options);
+  EXPECT_EQ(cleaned.jobs[0].size, 500);
 }
 
 TEST(CleanerTest, RepairsEstimatesBelowRuntime) {
-  Workload workload = make_workload({{1, 0, 300, 100, 4, 0}});
-  const CleanReport report = clean(workload, {});
-  EXPECT_EQ(report.clamped_runtime, 1u);
-  EXPECT_EQ(workload.jobs[0].requested_time, 300);
+  const Cleaned cleaned = clean_jobs({{1, 0, 300, 100, 4, 0}});
+  EXPECT_EQ(cleaned.report.clamped_runtime, 1u);
+  EXPECT_EQ(cleaned.jobs[0].requested_time, 300);
 }
 
 TEST(CleanerTest, FillsMissingEstimates) {
-  Workload workload = make_workload({{1, 0, 300, 0, 4, 0}});
-  clean(workload, {});
-  EXPECT_EQ(workload.jobs[0].requested_time, 300);
+  const Cleaned cleaned = clean_jobs({{1, 0, 300, 0, 4, 0}});
+  EXPECT_EQ(cleaned.jobs[0].requested_time, 300);
 }
 
 TEST(CleanerTest, FlurryRemoval) {
@@ -78,13 +81,12 @@ TEST(CleanerTest, FlurryRemoval) {
     jobs.push_back({i + 1, i * 10, 100, 200, 1, 9});
   }
   jobs.push_back({6, 20, 100, 200, 1, 7});  // different user unaffected
-  Workload workload = make_workload(std::move(jobs));
   CleanOptions options;
   options.flurry_max_jobs = 3;
   options.flurry_window = 3600;
-  const CleanReport report = clean(workload, options);
-  EXPECT_EQ(report.dropped_flurry, 2u);
-  EXPECT_EQ(report.kept, 4u);
+  const Cleaned cleaned = clean_jobs(std::move(jobs), options);
+  EXPECT_EQ(cleaned.report.dropped_flurry, 2u);
+  EXPECT_EQ(cleaned.report.kept, 4u);
 }
 
 TEST(CleanerTest, FlurryWindowSlides) {
@@ -92,32 +94,12 @@ TEST(CleanerTest, FlurryWindowSlides) {
   std::vector<Job> jobs;
   for (int i = 0; i < 3; ++i) jobs.push_back({i + 1, i, 100, 200, 1, 9});
   for (int i = 0; i < 3; ++i) jobs.push_back({i + 4, 10000 + i, 100, 200, 1, 9});
-  Workload workload = make_workload(std::move(jobs));
   CleanOptions options;
   options.flurry_max_jobs = 3;
   options.flurry_window = 3600;
-  const CleanReport report = clean(workload, options);
-  EXPECT_EQ(report.dropped_flurry, 0u);
-  EXPECT_EQ(report.kept, 6u);
-}
-
-TEST(SliceTest, RebasesSubmitTimes) {
-  const Workload workload = make_workload({
-      {1, 100, 10, 20, 1, 0},
-      {2, 250, 10, 20, 1, 0},
-      {3, 400, 10, 20, 1, 0},
-  });
-  const Workload sliced = slice(workload, 1, 2);
-  ASSERT_EQ(sliced.jobs.size(), 2u);
-  EXPECT_EQ(sliced.jobs[0].submit, 0);
-  EXPECT_EQ(sliced.jobs[1].submit, 150);
-  EXPECT_EQ(sliced.jobs[0].id, 2);  // ids preserved
-}
-
-TEST(SliceTest, OutOfRangeRejected) {
-  const Workload workload = make_workload({{1, 0, 10, 20, 1, 0}});
-  EXPECT_THROW((void)slice(workload, 0, 2), Error);
-  EXPECT_THROW((void)slice(workload, 2, 1), Error);
+  const Cleaned cleaned = clean_jobs(std::move(jobs), options);
+  EXPECT_EQ(cleaned.report.dropped_flurry, 0u);
+  EXPECT_EQ(cleaned.report.kept, 6u);
 }
 
 }  // namespace

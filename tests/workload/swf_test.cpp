@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <sstream>
+#include <vector>
 
 #include "util/error.hpp"
+#include "workload/source.hpp"
 
 namespace bsld::wl {
 namespace {
@@ -14,8 +18,43 @@ namespace {
 constexpr const char* kLine =
     "1 100 5 3600 16 -1 -1 16 7200 -1 1 42 -1 -1 -1 -1 -1 -1\n";
 
+/// What an SwfRecordStream yields over `text`, with its header state once
+/// drained.
+struct Parsed {
+  std::vector<Job> jobs;
+  std::map<std::string, std::string> header;
+  std::size_t skipped_lines = 0;
+  std::int32_t max_procs = 0;  ///< MaxProcs directive, or 0.
+};
+
+Parsed parse(const std::string& text, const SwfOptions& options = {}) {
+  std::istringstream in(text);
+  SwfRecordStream records(in, options);
+  Parsed out;
+  while (std::optional<Job> job = records.next()) out.jobs.push_back(*job);
+  out.header = records.header();
+  out.skipped_lines = records.skipped_lines();
+  out.max_procs = records.max_procs(0);
+  return out;
+}
+
+/// `workload` saved as an SWF file at a unique temp path; removed on
+/// destruction.
+class TempSwf {
+ public:
+  TempSwf(const std::string& name, const Workload& workload)
+      : path_(::testing::TempDir() + "/bsld_swf_test_" + name + ".swf") {
+    save_swf_file(path_, workload);
+  }
+  ~TempSwf() { std::remove(path_.c_str()); }
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 TEST(SwfTest, ParsesMandatoryFields) {
-  const SwfTrace trace = parse_swf_text(kLine);
+  const Parsed trace = parse(kLine);
   ASSERT_EQ(trace.jobs.size(), 1u);
   const Job& job = trace.jobs[0];
   EXPECT_EQ(job.id, 1);
@@ -27,29 +66,32 @@ TEST(SwfTest, ParsesMandatoryFields) {
 }
 
 TEST(SwfTest, HeaderDirectives) {
-  const SwfTrace trace = parse_swf_text(
+  const Parsed trace = parse(
       "; MaxProcs: 430\n"
       "; UnixStartTime: 123456\n"
       ";   free-form comment without colon structure --\n" +
       std::string(kLine));
-  EXPECT_EQ(trace.max_procs(0), 430);
+  EXPECT_EQ(trace.max_procs, 430);
   EXPECT_EQ(trace.header.at("UnixStartTime"), "123456");
 }
 
 TEST(SwfTest, MaxProcsFallback) {
-  const SwfTrace trace = parse_swf_text(kLine);
-  EXPECT_EQ(trace.max_procs(99), 99);
+  std::istringstream in(kLine);
+  SwfRecordStream records(in);
+  while (records.next()) {
+  }
+  EXPECT_EQ(records.max_procs(99), 99);
 }
 
 TEST(SwfTest, AllocatedFallsBackToRequestedProcs) {
-  const SwfTrace trace = parse_swf_text(
+  const Parsed trace = parse(
       "1 0 -1 100 -1 -1 -1 8 200 -1 1 0 -1 -1 -1 -1 -1 -1\n");
   ASSERT_EQ(trace.jobs.size(), 1u);
   EXPECT_EQ(trace.jobs[0].size, 8);
 }
 
 TEST(SwfTest, RequestedTimeFallsBackToRuntime) {
-  const SwfTrace trace = parse_swf_text(
+  const Parsed trace = parse(
       "1 0 -1 100 4 -1 -1 4 -1 -1 1 0 -1 -1 -1 -1 -1 -1\n");
   ASSERT_EQ(trace.jobs.size(), 1u);
   EXPECT_EQ(trace.jobs[0].requested_time, 100);
@@ -57,7 +99,7 @@ TEST(SwfTest, RequestedTimeFallsBackToRuntime) {
 
 TEST(SwfTest, SkipsUnusableLines) {
   // Bad size (0 procs) and bad id (0) are skipped, not fatal.
-  const SwfTrace trace = parse_swf_text(
+  const Parsed trace = parse(
       "0 0 -1 100 4 -1 -1 4 200 -1 1 0 -1 -1 -1 -1 -1 -1\n"
       "2 0 -1 100 0 -1 -1 0 200 -1 1 0 -1 -1 -1 -1 -1 -1\n" +
       std::string(kLine));
@@ -68,7 +110,7 @@ TEST(SwfTest, SkipsUnusableLines) {
 TEST(SwfTest, StructurallyBrokenLineSkippedAndCounted) {
   // One mangled record in a multi-million-job archive must not abort an
   // hours-long sweep: the default mode skips it with a count.
-  const SwfTrace trace = parse_swf_text("1 2 3\n" + std::string(kLine));
+  const Parsed trace = parse("1 2 3\n" + std::string(kLine));
   ASSERT_EQ(trace.jobs.size(), 1u);
   EXPECT_EQ(trace.skipped_lines, 1u);
 }
@@ -77,7 +119,7 @@ TEST(SwfTest, TimeFieldBeyondInt64RangeSkippedNotUndefined) {
   // A fractional-form time like 1e19 parses as a finite double but does
   // not fit int64; truncating it would be UB. It must read as a malformed
   // field (skipped/counted), not an arbitrary value.
-  const SwfTrace trace = parse_swf_text(
+  const Parsed trace = parse(
       "1 1e19 -1 100 4 -1 -1 4 200 -1 1 0 -1 -1 -1 -1 -1 -1\n" +
       std::string(kLine));
   ASSERT_EQ(trace.jobs.size(), 1u);
@@ -85,7 +127,7 @@ TEST(SwfTest, TimeFieldBeyondInt64RangeSkippedNotUndefined) {
 }
 
 TEST(SwfTest, UnparsableMandatoryFieldSkippedAndCounted) {
-  const SwfTrace trace = parse_swf_text(
+  const Parsed trace = parse(
       "1 banana -1 100 4 -1 -1 4 200 -1 1 0 -1 -1 -1 -1 -1 -1\n" +
       std::string(kLine));
   ASSERT_EQ(trace.jobs.size(), 1u);
@@ -95,13 +137,13 @@ TEST(SwfTest, UnparsableMandatoryFieldSkippedAndCounted) {
 TEST(SwfTest, StrictModeNamesTheLine) {
   const SwfOptions strict{.strict = true};
   try {
-    (void)parse_swf_text(std::string(kLine) + "1 2 3\n", strict);
+    (void)parse(std::string(kLine) + "1 2 3\n", strict);
     FAIL() << "expected bsld::Error";
   } catch (const Error& error) {
     EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos);
   }
   try {
-    (void)parse_swf_text(
+    (void)parse(
         "1 banana -1 100 4 -1 -1 4 200 -1 1 0 -1 -1 -1 -1 -1 -1\n", strict);
     FAIL() << "expected bsld::Error";
   } catch (const Error& error) {
@@ -112,7 +154,7 @@ TEST(SwfTest, StrictModeNamesTheLine) {
 TEST(SwfTest, StrictModeStillSkipsUnusableValues) {
   // id/size <= 0 is the archives' own cancelled-job convention, not a
   // malformed file: strict mode keeps skipping those.
-  const SwfTrace trace = parse_swf_text(
+  const Parsed trace = parse(
       "0 0 -1 100 4 -1 -1 4 200 -1 1 0 -1 -1 -1 -1 -1 -1\n" +
           std::string(kLine),
       SwfOptions{.strict = true});
@@ -120,19 +162,57 @@ TEST(SwfTest, StrictModeStillSkipsUnusableValues) {
   EXPECT_EQ(trace.skipped_lines, 1u);
 }
 
-TEST(SwfTest, SortsBySubmitThenId) {
-  const SwfTrace trace = parse_swf_text(
+TEST(SwfTest, RecordsKeepFileOrder) {
+  // The cursor does not sort: restoring (submit, id) order is the job of
+  // the SWF source stream (SortsBySubmitThenId).
+  const Parsed trace = parse(
       "5 300 -1 10 1 -1 -1 1 10 -1 1 0 -1 -1 -1 -1 -1 -1\n"
-      "3 100 -1 10 1 -1 -1 1 10 -1 1 0 -1 -1 -1 -1 -1 -1\n"
-      "4 100 -1 10 1 -1 -1 1 10 -1 1 0 -1 -1 -1 -1 -1 -1\n");
-  ASSERT_EQ(trace.jobs.size(), 3u);
-  EXPECT_EQ(trace.jobs[0].id, 3);
-  EXPECT_EQ(trace.jobs[1].id, 4);
-  EXPECT_EQ(trace.jobs[2].id, 5);
+      "3 100 -1 10 1 -1 -1 1 10 -1 1 0 -1 -1 -1 -1 -1 -1\n");
+  ASSERT_EQ(trace.jobs.size(), 2u);
+  EXPECT_EQ(trace.jobs[0].id, 5);
+  EXPECT_EQ(trace.jobs[1].id, 3);
+}
+
+TEST(SwfTest, SortsBySubmitThenId) {
+  Workload unsorted;
+  unsorted.name = "unsorted";
+  unsorted.cpus = 4;
+  unsorted.jobs = {
+      {5, 300, 10, 10, 1, 0},
+      {4, 100, 10, 10, 1, 0},
+      {3, 100, 10, 10, 1, 0},
+  };
+  const TempSwf file("sorted", unsorted);
+  const Workload sorted =
+      materialize(*open_stream(WorkloadSource::from_swf(file.path())));
+  ASSERT_EQ(sorted.jobs.size(), 3u);
+  EXPECT_EQ(sorted.jobs[0].id, 3);
+  EXPECT_EQ(sorted.jobs[1].id, 4);
+  EXPECT_EQ(sorted.jobs[2].id, 5);
+}
+
+TEST(SwfTest, TruncatedSourceRebasesSubmitTimes) {
+  // `jobs` keeps the first kept records and re-bases them to t = 0 (the
+  // paper's "5000 job part of each workload").
+  Workload trace;
+  trace.name = "rebase";
+  trace.cpus = 4;
+  trace.jobs = {
+      {1, 100, 10, 20, 1, 0},
+      {2, 250, 10, 20, 1, 0},
+      {3, 400, 10, 20, 1, 0},
+  };
+  const TempSwf file("rebase", trace);
+  const Workload part = materialize(
+      *open_stream(WorkloadSource::from_swf(file.path(), /*jobs=*/2)));
+  ASSERT_EQ(part.jobs.size(), 2u);
+  EXPECT_EQ(part.jobs[0].submit, 0);
+  EXPECT_EQ(part.jobs[1].submit, 150);
+  EXPECT_EQ(part.jobs[1].id, 2);  // ids preserved
 }
 
 TEST(SwfTest, ToleratesCrLfAndFractionalSeconds) {
-  const SwfTrace trace = parse_swf_text(
+  const Parsed trace = parse(
       "1 100.7 -1 3600.2 4 -1 -1 4 7200 -1 1 0 -1 -1 -1 -1 -1 -1\r\n");
   ASSERT_EQ(trace.jobs.size(), 1u);
   EXPECT_EQ(trace.jobs[0].submit, 100);
@@ -149,15 +229,16 @@ TEST(SwfTest, WriteReadRoundTrip) {
   };
   std::ostringstream out;
   write_swf(out, workload);
-  const SwfTrace trace = parse_swf_text(out.str());
-  EXPECT_EQ(trace.max_procs(0), 64);
+  const Parsed trace = parse(out.str());
+  EXPECT_EQ(trace.max_procs, 64);
   ASSERT_EQ(trace.jobs.size(), 2u);
   EXPECT_EQ(trace.jobs[0], workload.jobs[0]);
   EXPECT_EQ(trace.jobs[1], workload.jobs[1]);
 }
 
 TEST(SwfTest, MissingFileThrows) {
-  EXPECT_THROW((void)load_swf_file("/no/such/file.swf"), Error);
+  EXPECT_THROW(
+      (void)open_stream(WorkloadSource::from_swf("/no/such/file.swf")), Error);
 }
 
 TEST(SwfTest, FileRoundTrip) {
@@ -165,11 +246,12 @@ TEST(SwfTest, FileRoundTrip) {
   workload.name = "file-roundtrip";
   workload.cpus = 8;
   workload.jobs = {{1, 0, 10, 20, 2, 0}};
-  const std::string path = testing::TempDir() + "/bsld_swf_test.swf";
-  save_swf_file(path, workload);
-  const SwfTrace trace = load_swf_file(path);
-  ASSERT_EQ(trace.jobs.size(), 1u);
-  EXPECT_EQ(trace.jobs[0], workload.jobs[0]);
+  const TempSwf file("roundtrip", workload);
+  const Workload loaded =
+      materialize(*open_stream(WorkloadSource::from_swf(file.path())));
+  EXPECT_EQ(loaded.cpus, 8);
+  ASSERT_EQ(loaded.jobs.size(), 1u);
+  EXPECT_EQ(loaded.jobs[0], workload.jobs[0]);
 }
 
 }  // namespace
