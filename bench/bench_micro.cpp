@@ -1,17 +1,22 @@
 /// \file bench_micro.cpp
 /// \brief google-benchmark microbenchmarks of the simulation substrate:
-/// event-engine throughput, allocation search, trace generation,
-/// end-to-end simulation rate per archive, sweep-grid throughput
-/// through report::SweepRunner (dedup off vs on), and the streaming
-/// pipeline (pull-path ingest rate and the million-job windowed run).
+/// event-engine throughput, allocation search, one EASY scheduling pass,
+/// trace generation, end-to-end simulation rate per archive, sweep-grid
+/// throughput through report::SweepRunner (dedup off vs on), and the
+/// streaming pipeline (pull-path ingest rate and the million-job windowed
+/// run).
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <unistd.h>
 
 #include "cluster/first_fit.hpp"
+#include "core/policy_registry.hpp"
+#include "core/scheduler.hpp"
+#include "power/time_model.hpp"
 #include "report/result_cache.hpp"
 #include "report/sweep.hpp"
 #include "sim/engine.hpp"
@@ -55,6 +60,110 @@ void BM_EarliestStart(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EarliestStart)->Arg(430)->Arg(1152)->Arg(9216);
+
+/// Scheduler-layer double for BM_EasySchedulePass: a machine, a job table
+/// and a fixed clock; start_job occupies the machine as the simulation
+/// would, so the pass sees the CPUs it hands out.
+class PassContext final : public core::SchedulerContext {
+ public:
+  PassContext(cluster::Machine machine, Time now,
+              const power::BetaTimeModel& time_model,
+              const std::map<JobId, wl::Job>& jobs)
+      : machine_(std::move(machine)), now_(now), time_model_(time_model),
+        jobs_(jobs) {}
+
+  cluster::Machine& mutable_machine() { return machine_; }
+  [[nodiscard]] Time now() const override { return now_; }
+  [[nodiscard]] const cluster::Machine& machine() const override {
+    return machine_;
+  }
+  [[nodiscard]] const wl::Job& job(JobId id) const override {
+    return jobs_.at(id);
+  }
+  [[nodiscard]] const power::BetaTimeModel& time_model() const override {
+    return time_model_;
+  }
+  void start_job(JobId id, const std::vector<CpuId>& cpus,
+                 GearIndex /*gear*/) override {
+    machine_.assign(id, cpus, now_ + jobs_.at(id).requested_time);
+  }
+  [[nodiscard]] std::vector<JobId> running_jobs() const override { return {}; }
+  [[nodiscard]] GearIndex running_gear(JobId /*id*/) const override {
+    throw Error("PassContext: no running-job records");
+  }
+  void boost_job(JobId /*id*/, GearIndex /*gear*/) override {
+    throw Error("PassContext: no running-job records");
+  }
+
+ private:
+  cluster::Machine machine_;
+  Time now_;
+  const power::BetaTimeModel& time_model_;
+  const std::map<JobId, wl::Job>& jobs_;
+};
+
+/// One EASY + BSLD-threshold on_job_end pass (the paper-grid policy) on a
+/// machine of range(0) CPUs: a full machine with staggered expected ends
+/// and 116 queued jobs (the paper grid's mean queue) sees one job of ~1/10
+/// of the machine finish. Only the pass is timed; rebuilding the queue and
+/// the occupancy between passes is not.
+void BM_EasySchedulePass(benchmark::State& state) {
+  const auto cpus = static_cast<std::int32_t>(state.range(0));
+  const Time now = 1'000'000;
+  util::Rng rng(13);
+  std::map<JobId, wl::Job> jobs;
+  const auto add_job = [&](JobId id, std::int32_t size) {
+    wl::Job job;
+    job.id = id;
+    job.submit = now - rng.uniform_int(0, 50'000);
+    job.requested_time = rng.uniform_int(60, 40'000);
+    job.run_time = job.requested_time;
+    job.size = size;
+    jobs[id] = job;
+  };
+  const auto draw_size = [&] {
+    return static_cast<std::int32_t>(
+        rng.uniform_int(1, std::max(1, cpus / 16)));
+  };
+
+  // Fill the machine completely; job 1 holds ~1/10 of it and is the one
+  // that finishes.
+  cluster::Machine full(cpus);
+  std::vector<CpuId> finishing;
+  CpuId next_cpu = 0;
+  for (JobId id = 1; next_cpu < cpus; ++id) {
+    const std::int32_t size =
+        std::min(id == 1 ? std::max(1, cpus / 10) : draw_size(),
+                 cpus - next_cpu);
+    std::vector<CpuId> cpu_list;
+    for (std::int32_t k = 0; k < size; ++k) cpu_list.push_back(next_cpu++);
+    full.assign(id, cpu_list, now + rng.uniform_int(1, 40'000));
+    if (id == 1) finishing = cpu_list;
+  }
+  constexpr JobId kFirstQueued = 1'000'000;
+  constexpr int kQueued = 116;
+  for (int k = 0; k < kQueued; ++k) add_job(kFirstQueued + k, draw_size());
+
+  const cluster::GearSet gears = cluster::paper_gear_set();
+  const power::BetaTimeModel time_model(gears, 0.5);
+  core::PolicySpec spec;
+  core::DvfsConfig dvfs;
+  dvfs.bsld_threshold = 2.0;
+  dvfs.wq_threshold = 16;
+  spec.dvfs = dvfs;
+  for (auto _ : state) {
+    state.PauseTiming();
+    PassContext ctx(full, now, time_model, jobs);
+    const auto policy = core::PolicyRegistry::global().make(spec);
+    for (int k = 0; k < kQueued; ++k) policy->on_submit(ctx, kFirstQueued + k);
+    ctx.mutable_machine().release(1, finishing);
+    state.ResumeTiming();
+    policy->on_job_end(ctx, 1);
+    benchmark::DoNotOptimize(policy->queue_size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EasySchedulePass)->Arg(430)->Arg(9216)->UseRealTime();
 
 void BM_GenerateTrace(benchmark::State& state) {
   const auto archive = static_cast<wl::Archive>(state.range(0));

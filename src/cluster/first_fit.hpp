@@ -4,6 +4,11 @@
 /// satisfy the allocation constraints. The interface keeps selection
 /// pluggable, mirroring Alvio's scheduling-policy / resource-selection
 /// split.
+///
+/// Both selectors work on 64-CPU words of the Machine's bit sets: a word of
+/// qualifying CPUs (free, or available by the start time; minus the
+/// reservation for a shadow-crossing backfill) is built in one step and the
+/// lowest or highest set bits are taken with countr_zero / countl_zero.
 #pragma once
 
 #include <memory>

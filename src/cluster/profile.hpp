@@ -3,7 +3,7 @@
 /// function of time.
 ///
 /// EASY backfilling only ever holds one reservation, so the Machine's
-/// "k-th smallest availability time" query suffices. Policies that reserve
+/// earliest-start walk over its expected-end index suffices. Policies that reserve
 /// for *every* queued job — conservative backfilling (core/conservative.hpp)
 /// — need the full profile: capacity is no longer monotone in time once
 /// future reservations carve holes into it.

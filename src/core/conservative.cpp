@@ -44,11 +44,8 @@ void ConservativeBackfilling::schedule_pass(SchedulerContext& ctx) {
   // earlier, preserving conservative semantics.
   while (true) {
     cluster::AvailabilityProfile profile(machine.cpu_count(), now);
-    for (CpuId cpu = 0; cpu < machine.cpu_count(); ++cpu) {
-      if (!machine.is_free(cpu)) {
-        const Time end = machine.avail_time(cpu, now);
-        profile.reserve(now, end, 1);
-      }
+    for (const cluster::Machine::BusyAtEnd& entry : machine.busy_by_end()) {
+      profile.reserve(now, std::max(entry.end, now + 1), entry.cpus);
     }
 
     JobId to_start = kNoJob;

@@ -1,5 +1,6 @@
 #include "core/easy.hpp"
 
+#include <bit>
 #include <sstream>
 #include <vector>
 
@@ -53,7 +54,7 @@ void EasyBackfilling::on_job_end(SchedulerContext& ctx, JobId id) {
   // completion (an exact-time completion is the boundary case of that rule
   // and needs the same pass to start the jobs the completion unblocks).
   if (queue_.empty()) {
-    reservation_ = cluster::Reservation{};
+    reservation_.clear();
     return;
   }
   if (schedule_heads(ctx)) backfill_scan(ctx);
@@ -70,7 +71,7 @@ void EasyBackfilling::start_head(SchedulerContext& ctx, JobId id) {
 }
 
 bool EasyBackfilling::schedule_heads(SchedulerContext& ctx) {
-  reservation_ = cluster::Reservation{};
+  reservation_.clear();
   const cluster::Machine& machine = ctx.machine();
   while (!queue_.empty()) {
     const JobId head = queue_.head();
@@ -89,16 +90,13 @@ bool EasyBackfilling::schedule_heads(SchedulerContext& ctx) {
     // (DESIGN.md §4 decision 4).
     reservation_.job = head;
     reservation_.start = start;
-    reservation_.cpus = selector_->select_at(machine, job.size, start, ctx.now());
-    reservation_.mask.assign(static_cast<std::size_t>(machine.cpu_count()), 0);
-    for (const CpuId cpu : reservation_.cpus) {
-      reservation_.mask[static_cast<std::size_t>(cpu)] = 1;
-    }
-    free_outside_reservation_ = 0;
-    for (CpuId cpu = 0; cpu < machine.cpu_count(); ++cpu) {
-      if (machine.is_free(cpu) && !reservation_.contains(cpu)) {
-        ++free_outside_reservation_;
-      }
+    reservation_.set_cpus(
+        selector_->select_at(machine, job.size, start, ctx.now()),
+        machine.cpu_count());
+    free_outside_reservation_ = machine.free_now();
+    for (std::size_t w = 0; w < machine.word_count(); ++w) {
+      free_outside_reservation_ -=
+          std::popcount(reservation_.word(w) & machine.free_word(w));
     }
     return true;
   }
@@ -108,17 +106,16 @@ bool EasyBackfilling::schedule_heads(SchedulerContext& ctx) {
 void EasyBackfilling::backfill_scan(SchedulerContext& ctx) {
   // Copy the candidate ids: backfilled jobs are removed from the queue
   // during the scan. FCFS order, head excluded (it owns the reservation).
-  std::vector<JobId> candidates;
-  candidates.reserve(queue_.size());
+  candidates_.clear();
   bool first = true;
   for (const JobId id : queue_) {
     if (first) {
       first = false;
       continue;
     }
-    candidates.push_back(id);
+    candidates_.push_back(id);
   }
-  for (const JobId id : candidates) try_backfill_one(ctx, id);
+  for (const JobId id : candidates_) try_backfill_one(ctx, id);
 }
 
 bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, JobId id) {

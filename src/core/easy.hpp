@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "cluster/first_fit.hpp"
 #include "core/frequency.hpp"
@@ -64,6 +65,8 @@ class EasyBackfilling final : public SchedulingPolicy {
   cluster::Reservation reservation_;
   /// Free CPUs outside the reserved set (maintained during backfill scans).
   std::int32_t free_outside_reservation_ = 0;
+  /// backfill_scan's candidate buffer, reused across passes.
+  std::vector<JobId> candidates_;
 };
 
 }  // namespace bsld::core

@@ -12,11 +12,7 @@ Reservation make_reservation(JobId job, Time start, std::vector<CpuId> cpus,
   Reservation reservation;
   reservation.job = job;
   reservation.start = start;
-  reservation.cpus = cpus;
-  reservation.mask.assign(static_cast<std::size_t>(machine_cpus), 0);
-  for (const CpuId cpu : cpus) {
-    reservation.mask[static_cast<std::size_t>(cpu)] = 1;
-  }
+  reservation.set_cpus(std::move(cpus), machine_cpus);
   return reservation;
 }
 
@@ -115,7 +111,8 @@ TEST(ReservationTest, ContainsUsesMask) {
   const Reservation reservation = make_reservation(1, 10, {2}, 4);
   EXPECT_TRUE(reservation.contains(2));
   EXPECT_FALSE(reservation.contains(0));
-  EXPECT_FALSE(reservation.contains(99));  // out of mask: false, not UB
+  EXPECT_FALSE(reservation.contains(99));  // out of the set: false, not UB
+  EXPECT_FALSE(reservation.contains(-1));
   EXPECT_TRUE(reservation.active());
   EXPECT_FALSE(Reservation{}.active());
 }

@@ -38,6 +38,29 @@ TEST(MachineTest, OversubscriptionRejected) {
   EXPECT_THROW(machine.assign(2, {0}, 200), Error);
   // Failed assignment must not corrupt counters.
   EXPECT_EQ(machine.free_now(), 3);
+  // Nor a partly checked one: CPUs 1 and 2 stay free.
+  EXPECT_THROW(machine.assign(2, {1, 2, 0}, 200), Error);
+  EXPECT_EQ(machine.free_word(0), 0b1110U);
+  EXPECT_TRUE(machine.is_free(1));
+  EXPECT_EQ(machine.earliest_start(3, 0), 0);
+}
+
+TEST(MachineTest, DuplicateCpuRejected) {
+  Machine machine(4);
+  EXPECT_THROW(machine.assign(1, {0, 0}, 100), Error);
+  // A rejected call leaves the machine untouched.
+  EXPECT_EQ(machine.free_now(), 4);
+  EXPECT_TRUE(machine.is_free(0));
+  machine.assign(1, {0, 1}, 100);
+  machine.update_expected_end(1, {1, 1}, 300);  // a repeat re-times once
+  EXPECT_EQ(machine.available_by(100, 0), 3);
+  EXPECT_THROW(machine.release(1, {1, 1}), Error);
+  EXPECT_EQ(machine.free_now(), 2);
+  EXPECT_EQ(machine.running_job(1), 1);
+  EXPECT_EQ(machine.earliest_start(4, 0), 300);
+  machine.release(1, {0, 1});
+  EXPECT_EQ(machine.free_now(), 4);
+  EXPECT_EQ(machine.earliest_start(4, 0), 0);
 }
 
 TEST(MachineTest, ReleaseWrongJobRejected) {
@@ -45,6 +68,8 @@ TEST(MachineTest, ReleaseWrongJobRejected) {
   machine.assign(1, {0}, 100);
   EXPECT_THROW(machine.release(2, {0}), Error);
   EXPECT_THROW(machine.release(1, {1}), Error);  // cpu 1 is free
+  EXPECT_THROW(machine.release(kNoJob, {1}), Error);
+  EXPECT_EQ(machine.free_now(), 1);
 }
 
 TEST(MachineTest, AvailTimeClampsOverrunningJobs) {
