@@ -651,8 +651,8 @@ int main(int argc, char** argv) try {
 
   if (cli.get_bool("list-policies")) {
     const core::PolicyRegistry& registry = core::PolicyRegistry::global();
-    print_registry("policies", registry.policy_entries());
-    print_registry("assigners", registry.assigner_entries());
+    print_registry("policies", registry.policies().entries());
+    print_registry("assigners", registry.assigners().entries());
     return 0;
   }
   if (cli.get_bool("list-instruments")) {

@@ -100,7 +100,8 @@ std::optional<std::vector<CpuId>> LastFit::select_backfill(
 std::unique_ptr<ResourceSelector> make_selector(const std::string& name) {
   if (name == "FirstFit") return std::make_unique<FirstFit>();
   if (name == "LastFit") return std::make_unique<LastFit>();
-  throw Error("make_selector(): unknown selector `" + name + "`");
+  throw Error("make_selector(): unknown selector `" + name +
+              "` (expected FirstFit, LastFit)");
 }
 
 }  // namespace bsld::cluster

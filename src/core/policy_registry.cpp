@@ -11,26 +11,18 @@ namespace bsld::core {
 
 namespace {
 
-std::string join(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& name : names) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
-}
-
 std::unique_ptr<cluster::ResourceSelector> selector_for(
     const PolicySpec& spec) {
   return cluster::make_selector(spec.selector);
 }
 
 void register_builtins(PolicyRegistry& registry) {
-  registry.add_assigner("ftop", "every job starts at the top gear (no DVFS)",
-                        [](const PolicySpec&) {
-                          return std::make_unique<TopFrequency>();
-                        });
-  registry.add_assigner(
+  registry.assigners().add("ftop",
+                           "every job starts at the top gear (no DVFS)",
+                           [](const PolicySpec&) {
+                             return std::make_unique<TopFrequency>();
+                           });
+  registry.assigners().add(
       "bsld", "BSLD-threshold gear selection (the paper's policy)",
       [](const PolicySpec& spec) {
         BSLD_REQUIRE(spec.dvfs.has_value(),
@@ -38,25 +30,26 @@ void register_builtins(PolicyRegistry& registry) {
         return std::make_unique<BsldThresholdAssigner>(*spec.dvfs);
       });
 
-  registry.add_policy(
+  registry.policies().add(
       "easy", "aggressive EASY backfilling (the paper's baseline scheduler)",
       [&registry](const PolicySpec& spec) {
         return std::make_unique<EasyBackfilling>(selector_for(spec),
                                                  registry.make_assigner(spec));
       });
-  registry.add_policy("fcfs", "first-come first-served, no backfilling",
-                      [&registry](const PolicySpec& spec) {
-                        return std::make_unique<Fcfs>(
-                            selector_for(spec), registry.make_assigner(spec));
-                      });
-  registry.add_policy(
+  registry.policies().add("fcfs", "first-come first-served, no backfilling",
+                          [&registry](const PolicySpec& spec) {
+                            return std::make_unique<Fcfs>(
+                                selector_for(spec),
+                                registry.make_assigner(spec));
+                          });
+  registry.policies().add(
       "conservative",
       "conservative backfilling: every queued job holds a reservation",
       [&registry](const PolicySpec& spec) {
         return std::make_unique<ConservativeBackfilling>(
             selector_for(spec), registry.make_assigner(spec));
       });
-  registry.add_policy(
+  registry.policies().add(
       "easy+raise",
       "EASY plus dynamic frequency raise when the queue passes "
       "policy.raise.queue_limit",
@@ -91,114 +84,14 @@ PolicyRegistry& PolicyRegistry::global() {
   return *registry;
 }
 
-void PolicyRegistry::add_policy(const std::string& name,
-                                PolicyFactory factory) {
-  add_policy(name, "", std::move(factory));
-}
-
-void PolicyRegistry::add_policy(const std::string& name,
-                                std::string description,
-                                PolicyFactory factory) {
-  const util::WriterLock lock(mutex_);
-  BSLD_REQUIRE(!policies_.contains(name),
-               "PolicyRegistry: policy `" + name + "` already registered");
-  policies_.emplace(name,
-                    PolicyEntry{std::move(description), std::move(factory)});
-}
-
-void PolicyRegistry::add_assigner(const std::string& name,
-                                  AssignerFactory factory) {
-  add_assigner(name, "", std::move(factory));
-}
-
-void PolicyRegistry::add_assigner(const std::string& name,
-                                  std::string description,
-                                  AssignerFactory factory) {
-  const util::WriterLock lock(mutex_);
-  BSLD_REQUIRE(!assigners_.contains(name),
-               "PolicyRegistry: assigner `" + name + "` already registered");
-  assigners_.emplace(
-      name, AssignerEntry{std::move(description), std::move(factory)});
-}
-
-bool PolicyRegistry::has_policy(const std::string& name) const {
-  const util::ReaderLock lock(mutex_);
-  return policies_.contains(name);
-}
-
-bool PolicyRegistry::has_assigner(const std::string& name) const {
-  const util::ReaderLock lock(mutex_);
-  return assigners_.contains(name);
-}
-
-std::vector<std::string> PolicyRegistry::policy_names() const {
-  const util::ReaderLock lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(policies_.size());
-  for (const auto& [name, _] : policies_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> PolicyRegistry::assigner_names() const {
-  const util::ReaderLock lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(assigners_.size());
-  for (const auto& [name, _] : assigners_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::pair<std::string, std::string>>
-PolicyRegistry::policy_entries() const {
-  const util::ReaderLock lock(mutex_);
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(policies_.size());
-  for (const auto& [name, entry] : policies_) {
-    out.emplace_back(name, entry.description);
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, std::string>>
-PolicyRegistry::assigner_entries() const {
-  const util::ReaderLock lock(mutex_);
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(assigners_.size());
-  for (const auto& [name, entry] : assigners_) {
-    out.emplace_back(name, entry.description);
-  }
-  return out;
-}
-
 std::unique_ptr<SchedulingPolicy> PolicyRegistry::make(
     const PolicySpec& spec) const {
-  const std::string name = spec.resolved_name();
-  PolicyFactory factory;
-  {
-    const util::ReaderLock lock(mutex_);
-    const auto it = policies_.find(name);
-    if (it != policies_.end()) factory = it->second.factory;
-  }
-  if (!factory) {
-    throw Error("PolicyRegistry: unknown policy `" + name +
-                "` (registered: " + join(policy_names()) + ")");
-  }
-  return factory(spec);
+  return policies_.make(spec.resolved_name(), spec);
 }
 
 std::unique_ptr<FrequencyAssigner> PolicyRegistry::make_assigner(
     const PolicySpec& spec) const {
-  const std::string name = spec.resolved_assigner();
-  AssignerFactory factory;
-  {
-    const util::ReaderLock lock(mutex_);
-    const auto it = assigners_.find(name);
-    if (it != assigners_.end()) factory = it->second.factory;
-  }
-  if (!factory) {
-    throw Error("PolicyRegistry: unknown assigner `" + name +
-                "` (registered: " + join(assigner_names()) + ")");
-  }
-  return factory(spec);
+  return assigners_.make(spec.resolved_assigner(), spec);
 }
 
 PolicySpec policy_from_config(const util::Config& config) {
@@ -232,11 +125,10 @@ PolicySpec policy_from_config(const util::Config& config) {
     raise.one_step = config.get_bool("policy.raise.one_step", raise.one_step);
     spec.raise = raise;
   }
-  BSLD_REQUIRE(
-      PolicyRegistry::global().has_policy(spec.resolved_name()),
-      "policy_from_config(): unknown policy `" + spec.resolved_name() +
-          "` (registered: " + join(PolicyRegistry::global().policy_names()) +
-          ")");
+  const PolicyRegistry& registry = PolicyRegistry::global();
+  registry.policies().require(spec.resolved_name());
+  registry.assigners().require(spec.resolved_assigner());
+  (void)cluster::make_selector(spec.selector);
   return spec;
 }
 

@@ -2,31 +2,24 @@
 /// \brief String-keyed construction of scheduling policies and frequency
 /// assigners — the one way to build a policy, open to downstream names.
 ///
-/// Mirrors cluster::make_selector: a PolicySpec names a policy ("easy",
-/// "fcfs", "conservative", "easy+raise") and an assigner ("ftop", "bsld",
-/// or auto-derived from the DVFS config) and carries their tunables; the
-/// PolicyRegistry resolves names to factories. Downstream code can register
-/// additional policies/assigners under new names without touching core —
-/// every entry point that consumes a report::RunSpec picks them up
-/// automatically.
-///
-/// Registration must happen before experiment grids start executing (the
-/// registry is read concurrently by sweep worker threads; a shared mutex
-/// guards registration against lookup races).
+/// A PolicySpec names a policy ("easy", "fcfs", "conservative",
+/// "easy+raise"), a resource selector (resolved by cluster::make_selector)
+/// and an assigner ("ftop", "bsld", or auto-derived from the DVFS config)
+/// and carries their tunables. PolicyRegistry holds one util::Registry per
+/// name space (registration, lookup, listing and locking live there).
+/// Downstream code can register additional policies/assigners under new
+/// names without touching core — every entry point that consumes a
+/// report::RunSpec picks them up automatically.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/dynamic_raise.hpp"
 #include "core/frequency.hpp"
 #include "util/config.hpp"
-#include "util/thread_annotations.hpp"
+#include "util/registry.hpp"
 
 namespace bsld::core {
 
@@ -53,44 +46,23 @@ struct PolicySpec {
   friend bool operator==(const PolicySpec&, const PolicySpec&) = default;
 };
 
-/// Name -> factory resolution for policies and frequency assigners.
+/// Name -> factory resolution for policies and frequency assigners: two
+/// util::Registry instances over the PolicySpec.
 class PolicyRegistry {
  public:
-  using PolicyFactory =
-      std::function<std::unique_ptr<SchedulingPolicy>(const PolicySpec&)>;
-  using AssignerFactory =
-      std::function<std::unique_ptr<FrequencyAssigner>(const PolicySpec&)>;
+  using Policies = util::Registry<SchedulingPolicy, const PolicySpec&>;
+  using Assigners = util::Registry<FrequencyAssigner, const PolicySpec&>;
 
   /// The process-wide registry, pre-loaded with the built-ins.
   static PolicyRegistry& global();
 
-  /// Registers a policy factory. Throws bsld::Error on a duplicate name.
-  void add_policy(const std::string& name, PolicyFactory factory);
+  /// Policy factories, keyed by PolicySpec::resolved_name().
+  [[nodiscard]] Policies& policies() { return policies_; }
+  [[nodiscard]] const Policies& policies() const { return policies_; }
 
-  /// Same, with a one-line description shown by `bsldsim --list-policies`.
-  void add_policy(const std::string& name, std::string description,
-                  PolicyFactory factory);
-
-  /// Registers an assigner factory. Throws bsld::Error on a duplicate name.
-  void add_assigner(const std::string& name, AssignerFactory factory);
-
-  /// Same, with a one-line description shown by `bsldsim --list-policies`.
-  void add_assigner(const std::string& name, std::string description,
-                    AssignerFactory factory);
-
-  [[nodiscard]] bool has_policy(const std::string& name) const;
-  [[nodiscard]] bool has_assigner(const std::string& name) const;
-
-  /// Registered names in sorted order (for error messages and --help).
-  [[nodiscard]] std::vector<std::string> policy_names() const;
-  [[nodiscard]] std::vector<std::string> assigner_names() const;
-
-  /// (name, description) pairs in sorted order; descriptions registered
-  /// without one are empty.
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>>
-  policy_entries() const;
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>>
-  assigner_entries() const;
+  /// Frequency-assigner factories, keyed by PolicySpec::resolved_assigner().
+  [[nodiscard]] Assigners& assigners() { return assigners_; }
+  [[nodiscard]] const Assigners& assigners() const { return assigners_; }
 
   /// Builds the policy `spec` describes (via resolved_name()). Throws
   /// bsld::Error on unknown names, listing what is registered.
@@ -103,22 +75,13 @@ class PolicyRegistry {
       const PolicySpec& spec) const;
 
  private:
-  struct PolicyEntry {
-    std::string description;
-    PolicyFactory factory;
-  };
-  struct AssignerEntry {
-    std::string description;
-    AssignerFactory factory;
-  };
-
-  mutable util::SharedMutex mutex_;
-  std::map<std::string, PolicyEntry> policies_ BSLD_GUARDED_BY(mutex_);
-  std::map<std::string, AssignerEntry> assigners_ BSLD_GUARDED_BY(mutex_);
+  Policies policies_{"PolicyRegistry", "policy"};
+  Assigners assigners_{"PolicyRegistry", "assigner"};
 };
 
 /// Reads a PolicySpec from `policy.*` config keys (see policy_to_config).
-/// Validates the policy name against the global registry.
+/// Validates the policy and assigner names against the global registry and
+/// the selector name against cluster::make_selector.
 PolicySpec policy_from_config(const util::Config& config);
 
 /// Writes the canonical `policy.*` keys: name and selector always, DVFS

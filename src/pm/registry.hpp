@@ -1,68 +1,37 @@
 /// \file registry.hpp
-/// \brief String-keyed construction of power managers, mirroring
-/// core::PolicyRegistry and sim::InstrumentRegistry.
+/// \brief String-keyed construction of power managers.
 ///
-/// A PmSpec names a manager family; the registry resolves the name to a
-/// factory over (spec, power model). Downstream code can register new
+/// A PmSpec names a manager family; PowerManagerRegistry is a
+/// util::Registry over (spec, power model) that resolves the name to a
+/// factory (registration, lookup, listing and locking live there) and
+/// validates the spec before building. Downstream code can register new
 /// families under new names without touching pm — every entry point that
-/// consumes a report::RunSpec picks them up automatically. Registration
-/// must happen before experiment grids start executing (the registry is
-/// read concurrently by sweep worker threads; a shared mutex guards
-/// registration against lookup races).
+/// consumes a report::RunSpec picks them up automatically.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "pm/power_manager.hpp"
 #include "pm/spec.hpp"
-#include "util/thread_annotations.hpp"
+#include "util/registry.hpp"
 
 namespace bsld::pm {
 
 /// Name -> factory resolution for power managers.
-class PowerManagerRegistry {
+class PowerManagerRegistry
+    : public util::Registry<PowerManager, const PmSpec&,
+                            const power::PowerModel&> {
  public:
-  using Factory = std::function<std::unique_ptr<PowerManager>(
-      const PmSpec&, const power::PowerModel&)>;
+  PowerManagerRegistry() : Registry("PowerManagerRegistry", "power manager") {}
 
   /// The process-wide registry, pre-loaded with the built-ins: none,
   /// cap-uniform, cap-proportional, sleep, setpoint.
   static PowerManagerRegistry& global();
 
-  /// Registers a manager factory with a one-line description (shown by
-  /// `bsldsim --list-pms`). Throws bsld::Error on a duplicate name.
-  void add(const std::string& name, std::string description, Factory factory);
-
-  [[nodiscard]] bool has(const std::string& name) const;
-
-  /// Throws bsld::Error when `name` is unknown, listing what is registered.
-  void require(const std::string& name) const;
-
-  /// Registered names in sorted order (for error messages and --help).
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// (name, description) pairs in sorted order (for --list-pms).
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>> entries()
-      const;
-
   /// Builds the manager `spec` describes. Validates the spec first, so a
   /// hand-built spec gets the same family-rule checks as a parsed one.
   [[nodiscard]] std::unique_ptr<PowerManager> make(
       const PmSpec& spec, const power::PowerModel& model) const;
-
- private:
-  struct Entry {
-    std::string description;
-    Factory factory;
-  };
-
-  mutable util::SharedMutex mutex_;
-  std::map<std::string, Entry> entries_ BSLD_GUARDED_BY(mutex_);
 };
 
 }  // namespace bsld::pm

@@ -1,32 +1,22 @@
 /// \file instrument_registry.hpp
 /// \brief String-keyed construction of measurement instruments — the open
-/// counterpart of the fixed default observer set, mirroring
-/// core::PolicyRegistry.
+/// counterpart of the fixed default observer set.
 ///
 /// A report::RunSpec names its extra instruments ("wait-trace",
 /// "utilization", ...) and the registry resolves names to factories, so a
 /// serialized spec selects views of the event stream the same way it
-/// selects policies. Downstream code registers additional instruments
-/// under new names without touching sim — bsldsim --instruments=... and
-/// SweepRunner grids pick them up automatically.
-///
-/// Registration must happen before experiment grids start executing (the
-/// registry is read concurrently by sweep worker threads; a shared mutex
-/// guards registration against lookup races).
+/// selects policies. InstrumentRegistry is a util::Registry over the
+/// per-run InstrumentContext (registration, lookup, listing and locking
+/// live there). Downstream code registers additional instruments under new
+/// names without touching sim — bsldsim --instruments=... and SweepRunner
+/// grids pick them up automatically.
 #pragma once
-
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "power/power_model.hpp"
 #include "power/time_model.hpp"
 #include "sim/instruments.hpp"
+#include "util/registry.hpp"
 #include "util/sampler.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace bsld::sim {
 
@@ -41,51 +31,14 @@ struct InstrumentContext {
 };
 
 /// Name -> factory resolution for instruments.
-class InstrumentRegistry {
+class InstrumentRegistry
+    : public util::Registry<Instrument, const InstrumentContext&> {
  public:
-  using Factory =
-      std::function<std::unique_ptr<Instrument>(const InstrumentContext&)>;
+  InstrumentRegistry() : Registry("InstrumentRegistry", "instrument") {}
 
   /// The process-wide registry, pre-loaded with the built-ins: "jobs",
-  /// "aggregates", "energy", "wait-trace", "utilization".
+  /// "aggregates", "energy", "wait-trace", "utilization", "pm-trace".
   static InstrumentRegistry& global();
-
-  /// Registers an instrument factory. Throws bsld::Error on a duplicate
-  /// name.
-  void add(const std::string& name, Factory factory);
-
-  /// Same, with a one-line description shown by `bsldsim
-  /// --list-instruments`.
-  void add(const std::string& name, std::string description, Factory factory);
-
-  [[nodiscard]] bool has(const std::string& name) const;
-
-  /// Validates that `name` is registered without constructing it: throws
-  /// the same discoverable bsld::Error make() raises on unknown names —
-  /// the one shared check behind RunSpec::parse and CLI flag validation.
-  void require(const std::string& name) const;
-
-  /// Registered names in sorted order (for error messages and --help).
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// (name, description) pairs in sorted order; the description is empty
-  /// for entries registered without one.
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>> entries()
-      const;
-
-  /// Builds the named instrument. Throws bsld::Error on unknown names,
-  /// listing what is registered.
-  [[nodiscard]] std::unique_ptr<Instrument> make(
-      const std::string& name, const InstrumentContext& context) const;
-
- private:
-  struct Entry {
-    std::string description;
-    Factory factory;
-  };
-
-  mutable util::SharedMutex mutex_;
-  std::map<std::string, Entry> factories_ BSLD_GUARDED_BY(mutex_);
 };
 
 }  // namespace bsld::sim

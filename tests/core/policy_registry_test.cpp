@@ -28,18 +28,18 @@ TEST(PolicySpecTest, ResolvedNames) {
 
 TEST(PolicyRegistryTest, BuiltinsAreRegistered) {
   const std::vector<std::string> policies =
-      PolicyRegistry::global().policy_names();
+      PolicyRegistry::global().policies().names();
   for (const char* name : {"easy", "fcfs", "conservative", "easy+raise"}) {
     EXPECT_TRUE(std::find(policies.begin(), policies.end(), name) !=
                 policies.end())
         << name;
   }
-  EXPECT_TRUE(PolicyRegistry::global().has_assigner("ftop"));
-  EXPECT_TRUE(PolicyRegistry::global().has_assigner("bsld"));
+  EXPECT_TRUE(PolicyRegistry::global().assigners().has("ftop"));
+  EXPECT_TRUE(PolicyRegistry::global().assigners().has("bsld"));
 }
 
 TEST(PolicyRegistryTest, MakesEveryBuiltin) {
-  for (const std::string& name : PolicyRegistry::global().policy_names()) {
+  for (const std::string& name : PolicyRegistry::global().policies().names()) {
     PolicySpec spec;
     spec.name = name;
     spec.dvfs = DvfsConfig{};
@@ -84,8 +84,8 @@ TEST(PolicyRegistryTest, RaisePolicyRequiresRaiseConfig) {
 }
 
 TEST(PolicyRegistryTest, DuplicateRegistrationThrows) {
-  EXPECT_THROW(PolicyRegistry::global().add_policy(
-                   "easy", [](const PolicySpec&) {
+  EXPECT_THROW(PolicyRegistry::global().policies().add(
+                   "easy", "", [](const PolicySpec&) {
                      return std::unique_ptr<SchedulingPolicy>();
                    }),
                Error);
@@ -97,8 +97,8 @@ TEST(PolicyRegistryTest, DownstreamPolicyPlugsIn) {
   static bool registered = false;
   if (!registered) {
     registered = true;
-    PolicyRegistry::global().add_policy(
-        "test-easy-clone", [](const PolicySpec& spec) {
+    PolicyRegistry::global().policies().add(
+        "test-easy-clone", "", [](const PolicySpec& spec) {
           return std::make_unique<EasyBackfilling>(
               cluster::make_selector(spec.selector),
               PolicyRegistry::global().make_assigner(spec));

@@ -162,8 +162,9 @@ TEST(ConcurrencyTest, RegistryLookupsAreRaceFree) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kQueries; ++i) {
-        EXPECT_TRUE(core::PolicyRegistry::global().has_policy("easy"));
-        EXPECT_FALSE(core::PolicyRegistry::global().policy_names().empty());
+        const auto& policies = core::PolicyRegistry::global().policies();
+        EXPECT_TRUE(policies.has("easy"));
+        EXPECT_FALSE(policies.names().empty());
         EXPECT_FALSE(sim::InstrumentRegistry::global().names().empty());
       }
     });

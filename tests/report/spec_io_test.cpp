@@ -230,6 +230,29 @@ TEST(SpecIoTest, UnknownInstrumentRejectedListingRegistry) {
   }
 }
 
+TEST(SpecIoTest, UnknownAssignerRejectedListingRegistry) {
+  // Rejected when the spec is read, not when the first run builds it.
+  try {
+    (void)RunSpec::parse(util::Config::parse("policy.assigner = oracle\n"));
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("oracle"), std::string::npos) << what;
+    EXPECT_NE(what.find("bsld, ftop"), std::string::npos) << what;
+  }
+}
+
+TEST(SpecIoTest, UnknownSelectorRejected) {
+  try {
+    (void)RunSpec::parse(util::Config::parse("policy.selector = Bogus\n"));
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("Bogus"), std::string::npos) << what;
+    EXPECT_NE(what.find("FirstFit, LastFit"), std::string::npos) << what;
+  }
+}
+
 TEST(SpecIoTest, DefaultInstrumentFieldsKeepLegacySerialization) {
   // Specs without instruments/retain_jobs must serialize exactly as before
   // the measurement fields existed — saved spec files stay byte-stable.

@@ -208,11 +208,11 @@ TEST(InstrumentRegistryTest, DownstreamRegistrationAndDuplicateRejection) {
     void write_csv(std::ostream& out) const override { out << "n\n"; }
   };
   InstrumentRegistry registry;
-  registry.add("null", [](const InstrumentContext&) {
+  registry.add("null", "", [](const InstrumentContext&) {
     return std::make_unique<NullInstrument>();
   });
   EXPECT_TRUE(registry.has("null"));
-  EXPECT_THROW(registry.add("null",
+  EXPECT_THROW(registry.add("null", "",
                             [](const InstrumentContext&) {
                               return std::make_unique<NullInstrument>();
                             }),
