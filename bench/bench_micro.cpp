@@ -1,6 +1,7 @@
 /// \file bench_micro.cpp
 /// \brief google-benchmark microbenchmarks of the simulation substrate:
-/// event-engine throughput, allocation search, one EASY scheduling pass,
+/// event-engine throughput, allocation search, one EASY scheduling pass
+/// and a sequence of them through one policy,
 /// trace generation, end-to-end simulation rate per archive, sweep-grid
 /// throughput through report::SweepRunner (dedup off vs on), and the
 /// streaming pipeline (pull-path ingest rate and the million-job windowed
@@ -11,7 +12,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <unistd.h>
+#include <utility>
+#include <vector>
 
 #include "cluster/first_fit.hpp"
 #include "core/policy_registry.hpp"
@@ -73,6 +77,7 @@ class PassContext final : public core::SchedulerContext {
         jobs_(jobs) {}
 
   cluster::Machine& mutable_machine() { return machine_; }
+  void set_now(Time now) { now_ = now; }
   [[nodiscard]] Time now() const override { return now_; }
   [[nodiscard]] const cluster::Machine& machine() const override {
     return machine_;
@@ -86,6 +91,7 @@ class PassContext final : public core::SchedulerContext {
   void start_job(JobId id, const std::vector<CpuId>& cpus,
                  GearIndex /*gear*/) override {
     machine_.assign(id, cpus, now_ + jobs_.at(id).requested_time);
+    if (starts != nullptr) starts->emplace_back(id, cpus);
   }
   [[nodiscard]] std::vector<JobId> running_jobs() const override { return {}; }
   [[nodiscard]] GearIndex running_gear(JobId /*id*/) const override {
@@ -94,6 +100,10 @@ class PassContext final : public core::SchedulerContext {
   void boost_job(JobId /*id*/, GearIndex /*gear*/) override {
     throw Error("PassContext: no running-job records");
   }
+
+  /// When set, start_job also logs each start, so a multi-pass bench can
+  /// complete the job later.
+  std::vector<std::pair<JobId, std::vector<CpuId>>>* starts = nullptr;
 
  private:
   cluster::Machine machine_;
@@ -164,6 +174,89 @@ void BM_EasySchedulePass(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EasySchedulePass)->Arg(430)->Arg(9216)->UseRealTime();
+
+/// EASY + BSLD-threshold over a sequence of completions: one policy holds
+/// range(0) queued jobs on a full 1152-CPU machine, then the 64 earliest
+/// expected ends complete one after another; jobs a pass starts join the
+/// sequence with their own ends. Unlike BM_EasySchedulePass the policy's
+/// state carries across passes (116 is the paper grid's mean queue, 570
+/// the depth a binding power cap holds). Only the passes are timed.
+void BM_EasyCompletionSequence(benchmark::State& state) {
+  const auto queued = static_cast<int>(state.range(0));
+  constexpr std::int32_t kCpus = 1152;
+  constexpr std::int32_t kMaxSize = kCpus / 16;
+  constexpr int kCompletions = 64;
+  const Time now = 1'000'000;
+  util::Rng rng(19);
+  std::map<JobId, wl::Job> jobs;
+  const auto draw_size = [&] {
+    return static_cast<std::int32_t>(rng.uniform_int(1, kMaxSize));
+  };
+
+  struct Running {
+    Time end;
+    JobId id;
+    std::vector<CpuId> cpus;
+    bool operator>(const Running& other) const {
+      return end != other.end ? end > other.end : id > other.id;
+    }
+  };
+  cluster::Machine full(kCpus);
+  std::vector<Running> initial;
+  CpuId next_cpu = 0;
+  for (JobId id = 1; next_cpu < kCpus; ++id) {
+    const std::int32_t size = std::min(draw_size(), kCpus - next_cpu);
+    Running job{now + rng.uniform_int(1, 40'000), id, {}};
+    for (std::int32_t k = 0; k < size; ++k) job.cpus.push_back(next_cpu++);
+    full.assign(id, job.cpus, job.end);
+    initial.push_back(std::move(job));
+  }
+  constexpr JobId kFirstQueued = 1'000'000;
+  for (int k = 0; k < queued; ++k) {
+    wl::Job job;
+    job.id = kFirstQueued + k;
+    job.submit = now - rng.uniform_int(0, 50'000);
+    job.requested_time = rng.uniform_int(60, 40'000);
+    job.run_time = job.requested_time;
+    job.size = draw_size();
+    jobs[job.id] = job;
+  }
+
+  const cluster::GearSet gears = cluster::paper_gear_set();
+  const power::BetaTimeModel time_model(gears, 0.5);
+  core::PolicySpec spec;
+  core::DvfsConfig dvfs;
+  dvfs.bsld_threshold = 2.0;
+  dvfs.wq_threshold = 16;
+  spec.dvfs = dvfs;
+  std::vector<std::pair<JobId, std::vector<CpuId>>> starts;
+  for (auto _ : state) {
+    state.PauseTiming();
+    PassContext ctx(full, now, time_model, jobs);
+    ctx.starts = &starts;
+    const auto policy = core::PolicyRegistry::global().make(spec);
+    for (int k = 0; k < queued; ++k) policy->on_submit(ctx, kFirstQueued + k);
+    std::priority_queue<Running, std::vector<Running>, std::greater<>>
+        running(std::greater<>{}, initial);
+    starts.clear();
+    state.ResumeTiming();
+    for (int k = 0; k < kCompletions && !running.empty(); ++k) {
+      Running done = running.top();
+      running.pop();
+      ctx.set_now(std::max(ctx.now(), done.end));
+      ctx.mutable_machine().release(done.id, done.cpus);
+      policy->on_job_end(ctx, done.id);
+      for (auto& [id, cpus] : starts) {
+        running.push({ctx.now() + jobs.at(id).requested_time, id,
+                      std::move(cpus)});
+      }
+      starts.clear();
+    }
+    benchmark::DoNotOptimize(policy->queue_size());
+  }
+  state.SetItemsProcessed(state.iterations() * kCompletions);
+}
+BENCHMARK(BM_EasyCompletionSequence)->Arg(116)->Arg(570)->UseRealTime();
 
 void BM_GenerateTrace(benchmark::State& state) {
   const auto archive = static_cast<wl::Archive>(state.range(0));

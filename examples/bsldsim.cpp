@@ -416,8 +416,10 @@ report::RunSpec spec_from_flags(const util::Cli& cli) {
     spec.pm.gain = gain >= 0.0 ? std::optional<double>(gain) : std::nullopt;
   }
   // Same rationale as the instrument check below: fail before --save-spec
-  // can persist an unreplayable spec.
+  // can persist an unreplayable spec (`--policy easy+raise` without
+  // --raise builds no policy).
   pm::validate(spec.pm);
+  (void)core::PolicyRegistry::global().make(spec.policy);
   if (overrides("instruments")) {
     // Same trimming/splitting as the `instruments` spec-file key.
     spec.instruments = split_list(cli.get("instruments"));

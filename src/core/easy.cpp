@@ -44,7 +44,7 @@ void EasyBackfilling::on_submit(SchedulerContext& ctx, JobId id) {
   // only the new job gets a backfill attempt.
   BSLD_REQUIRE(reservation_.active(),
                "EasyBackfilling: non-empty queue without a reservation");
-  try_backfill_one(ctx, id);
+  if (!try_backfill_one(ctx, id, ctx.job(id))) open_.push_back(id);
 }
 
 void EasyBackfilling::on_job_end(SchedulerContext& ctx, JobId id) {
@@ -57,7 +57,11 @@ void EasyBackfilling::on_job_end(SchedulerContext& ctx, JobId id) {
     reservation_.clear();
     return;
   }
-  if (schedule_heads(ctx)) backfill_scan(ctx);
+  if (schedule_heads(ctx)) {
+    backfill_scan(ctx);
+  } else {
+    open_.clear();  // every queued job started as a head.
+  }
 }
 
 void EasyBackfilling::start_head(SchedulerContext& ctx, JobId id) {
@@ -104,23 +108,26 @@ bool EasyBackfilling::schedule_heads(SchedulerContext& ctx) {
 }
 
 void EasyBackfilling::backfill_scan(SchedulerContext& ctx) {
-  // Copy the candidate ids: backfilled jobs are removed from the queue
-  // during the scan. FCFS order, head excluded (it owns the reservation).
-  candidates_.clear();
-  bool first = true;
-  for (const JobId id : queue_) {
-    if (first) {
-      first = false;
-      continue;
-    }
-    candidates_.push_back(id);
+  // Compact open_ in place while trying its survivors in FCFS order. The
+  // head never backfills (it owns the reservation and stays the head until
+  // it starts); a closed job fails every later attempt, so skipping it
+  // changes no decision. Only the tried job leaves the queue, so the ids
+  // not yet visited stay valid.
+  const JobId head = queue_.head();
+  std::size_t kept = 0;
+  for (const JobId id : open_) {
+    if (id == head || !queue_.contains(id)) continue;
+    const wl::Job& job = ctx.job(id);
+    if (assigner_->backfill_closed(ctx, job)) continue;
+    if (try_backfill_one(ctx, id, job)) continue;
+    open_[kept++] = id;
   }
-  for (const JobId id : candidates_) try_backfill_one(ctx, id);
+  open_.resize(kept);
 }
 
-bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, JobId id) {
+bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, JobId id,
+                                       const wl::Job& job) {
   const cluster::Machine& machine = ctx.machine();
-  const wl::Job& job = ctx.job(id);
   if (machine.free_now() < job.size) return false;  // cheap reject
 
   const Time now = ctx.now();

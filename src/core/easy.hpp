@@ -14,6 +14,10 @@
 ///    recomputed from scratch);
 ///  * gear selection follows Fig. 1 (head path) and Fig. 2 (backfill path)
 ///    via the injected FrequencyAssigner.
+///
+/// A queued job the assigner reports closed for backfill
+/// (FrequencyAssigner::backfill_closed) is never offered for backfill
+/// again; it stays queued, counts in WQsize and starts as a head.
 #pragma once
 
 #include <memory>
@@ -50,11 +54,13 @@ class EasyBackfilling final : public SchedulingPolicy {
   /// reservation. Returns true when a reservation is active afterwards.
   bool schedule_heads(SchedulerContext& ctx);
 
-  /// One FCFS scan over the non-head queue attempting backfills.
+  /// One FCFS scan over the open candidates attempting backfills; drops
+  /// candidates that left the queue, became the head or closed.
   void backfill_scan(SchedulerContext& ctx);
 
-  /// BackfillJob(J) for a single candidate; true when it started.
-  bool try_backfill_one(SchedulerContext& ctx, JobId id);
+  /// BackfillJob(J) for a single candidate (`job` is ctx.job(id)); true
+  /// when it started.
+  bool try_backfill_one(SchedulerContext& ctx, JobId id, const wl::Job& job);
 
   /// MakeJobReservation's immediate-start body for the current head.
   void start_head(SchedulerContext& ctx, JobId id);
@@ -65,8 +71,10 @@ class EasyBackfilling final : public SchedulingPolicy {
   cluster::Reservation reservation_;
   /// Free CPUs outside the reserved set (maintained during backfill scans).
   std::int32_t free_outside_reservation_ = 0;
-  /// backfill_scan's candidate buffer, reused across passes.
-  std::vector<JobId> candidates_;
+  /// Queued non-head jobs still open for backfill, in FCFS order. After
+  /// every handler this is a subsequence of queue_ without its head; jobs
+  /// that start as heads are dropped by the same pass.
+  std::vector<JobId> open_;
 };
 
 }  // namespace bsld::core

@@ -93,6 +93,17 @@ std::optional<GearIndex> BsldThresholdAssigner::backfill_gear(
   return top;
 }
 
+bool BsldThresholdAssigner::backfill_closed(const SchedulerContext& ctx,
+                                            const wl::Job& job) const {
+  // Failing at Ftop now means failing at every gear (no coefficient is
+  // below Ftop's 1.0) at every later time (the wait only grows), so both
+  // Fig. 2 branches reject the job for good. Without the literal check the
+  // else-branch still backfills at Ftop once the queue passes WQ.
+  return config_.backfill_requires_bsld_at_top &&
+         !satisfies_bsld(ctx, job, ctx.now(),
+                         ctx.time_model().gears().top_index());
+}
+
 std::string BsldThresholdAssigner::name() const {
   std::ostringstream os;
   os << "BSLD<=" << config_.bsld_threshold << ",WQ<=";

@@ -82,6 +82,19 @@ class FrequencyAssigner {
       util::FunctionRef<bool(GearIndex)> feasible,
       std::size_t wq_size) const = 0;
 
+  /// True when `job` can never be backfilled again: backfill_gear returns
+  /// nullopt for it at the current time and at every later one, whatever
+  /// `feasible` and `wq_size` say. The answer must be monotone (once true,
+  /// true at every later now()), because EASY then stops offering the job
+  /// for backfill for good; it still starts as the queue head. The default
+  /// never closes a job.
+  [[nodiscard]] virtual bool backfill_closed(const SchedulerContext& ctx,
+                                             const wl::Job& job) const {
+    (void)ctx;
+    (void)job;
+    return false;
+  }
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -110,6 +123,11 @@ class BsldThresholdAssigner final : public FrequencyAssigner {
       const SchedulerContext& ctx, const wl::Job& job,
       util::FunctionRef<bool(GearIndex)> feasible,
       std::size_t wq_size) const override;
+  /// The literal Fig. 2 check failing at Ftop now: both branches reject
+  /// the job from then on (see docs/simulation-internals.md, "Backfill
+  /// closure"). Never true when the check is ablated.
+  [[nodiscard]] bool backfill_closed(const SchedulerContext& ctx,
+                                     const wl::Job& job) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const DvfsConfig& config() const { return config_; }

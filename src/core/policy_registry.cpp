@@ -125,10 +125,7 @@ PolicySpec policy_from_config(const util::Config& config) {
     raise.one_step = config.get_bool("policy.raise.one_step", raise.one_step);
     spec.raise = raise;
   }
-  const PolicyRegistry& registry = PolicyRegistry::global();
-  registry.policies().require(spec.resolved_name());
-  registry.assigners().require(spec.resolved_assigner());
-  (void)cluster::make_selector(spec.selector);
+  (void)PolicyRegistry::global().make(spec);
   return spec;
 }
 

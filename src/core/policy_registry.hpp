@@ -80,8 +80,10 @@ class PolicyRegistry {
 };
 
 /// Reads a PolicySpec from `policy.*` config keys (see policy_to_config).
-/// Validates the policy and assigner names against the global registry and
-/// the selector name against cluster::make_selector.
+/// Builds the policy once through the global registry, so a spec that
+/// could not run is rejected here: unknown policy, assigner or selector
+/// names, `bsld` without `policy.dvfs`, `easy+raise` without
+/// `policy.raise.*`.
 PolicySpec policy_from_config(const util::Config& config);
 
 /// Writes the canonical `policy.*` keys: name and selector always, DVFS

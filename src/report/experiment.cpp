@@ -95,8 +95,7 @@ util::Config RunSpec::to_config() const {
 }
 
 const std::string& RunSpec::key() const {
-  if (key_cache.value.empty()) key_cache.value = to_config().to_string();
-  return key_cache.value;
+  return key_cache.get([this] { return to_config().to_string(); });
 }
 
 std::string RunSpec::label() const {

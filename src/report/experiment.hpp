@@ -22,6 +22,7 @@
 /// for report::SweepRunner grids.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,6 +38,7 @@
 #include "sim/simulation.hpp"
 #include "util/config.hpp"
 #include "util/sampler.hpp"
+#include "util/thread_annotations.hpp"
 #include "workload/source.hpp"
 
 namespace bsld::report {
@@ -106,18 +108,53 @@ struct RunSpec {
   /// key() memo. A distinct type so the defaulted operator== above ignores
   /// it (two specs are equal regardless of which has been keyed) and so
   /// copy-assignment drops the cached text instead of carrying it into a
-  /// copy that is about to be tweaked.
-  struct KeyCache {
+  /// copy that is about to be tweaked. Safe to fill from several threads
+  /// at once: the first callers serialize on the mutex, and once the text
+  /// is published a caller only reads the atomic flag.
+  class KeyCache {
+   public:
     KeyCache() = default;
     KeyCache(const KeyCache&) noexcept {}
     KeyCache& operator=(const KeyCache&) noexcept {
-      value.clear();
+      reset();
       return *this;
     }
-    KeyCache(KeyCache&&) noexcept = default;
-    KeyCache& operator=(KeyCache&&) noexcept = default;
-    mutable std::string value;  ///< Empty = not yet computed.
+    KeyCache(KeyCache&& other) noexcept { adopt(other); }
+    KeyCache& operator=(KeyCache&& other) noexcept {
+      adopt(other);
+      return *this;
+    }
     friend bool operator==(const KeyCache&, const KeyCache&) { return true; }
+
+    /// The cached text, computed by `make()` on first use.
+    template <class Make>
+    const std::string& get(Make&& make) const {
+      if (!ready_.load()) {
+        util::ScopedLock lock(mutex_);
+        if (!ready_.load()) {
+          value_ = make();
+          ready_.store(true);
+        }
+      }
+      return value_;
+    }
+
+   private:
+    void reset() noexcept {
+      value_.clear();
+      ready_.store(false);
+    }
+    // Moves never race with get(): a spec being moved is not shared.
+    void adopt(KeyCache& other) noexcept {
+      value_ = std::move(other.value_);
+      ready_.store(other.ready_.load());
+      other.reset();
+    }
+
+    mutable util::Mutex mutex_;
+    mutable std::atomic<bool> ready_{false};
+    /// Written once under mutex_ before ready_ is set; read-only after.
+    mutable std::string value_;
   };
   KeyCache key_cache;  ///< Internal; managed by key().
 };

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "testing/helpers.hpp"
+#include "testing/oracles.hpp"
 #include "util/error.hpp"
 
 namespace bsld::core {
@@ -144,6 +149,105 @@ TEST_F(EasyTest, WqThresholdGatesBackfilledJobs) {
   // Job 3 backfills at 20 but the queue holds job 2 -> Ftop.
   EXPECT_EQ(result.jobs[2].start, 20);
   EXPECT_EQ(result.jobs[2].gear, models_.gears.top_index());
+}
+
+/// Forwards to the paper's assigner and logs, in call order, every
+/// backfill_gear offer and every backfill_closed answer.
+class CountingAssigner final : public FrequencyAssigner {
+ public:
+  struct Call {
+    JobId id;
+    Time now;
+    bool closure;  ///< backfill_closed (else backfill_gear).
+    bool closed;   ///< backfill_closed's answer.
+  };
+
+  CountingAssigner(DvfsConfig config, std::vector<Call>& log)
+      : inner_(config), log_(log) {}
+
+  [[nodiscard]] GearIndex reservation_gear(const SchedulerContext& ctx,
+                                           const wl::Job& job, Time start,
+                                           std::size_t wq_size) const override {
+    return inner_.reservation_gear(ctx, job, start, wq_size);
+  }
+  [[nodiscard]] std::optional<GearIndex> backfill_gear(
+      const SchedulerContext& ctx, const wl::Job& job,
+      util::FunctionRef<bool(GearIndex)> feasible,
+      std::size_t wq_size) const override {
+    log_.push_back({job.id, ctx.now(), false, false});
+    return inner_.backfill_gear(ctx, job, feasible, wq_size);
+  }
+  [[nodiscard]] bool backfill_closed(const SchedulerContext& ctx,
+                                     const wl::Job& job) const override {
+    const bool closed = inner_.backfill_closed(ctx, job);
+    log_.push_back({job.id, ctx.now(), true, closed});
+    return closed;
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+ private:
+  BsldThresholdAssigner inner_;
+  std::vector<Call>& log_;
+};
+
+TEST_F(EasyTest, ClosedJobsAreNeverOfferedForBackfillAgain) {
+  // Jobs 1-4 hold one CPU each until 1000..4000; head job 5 reserves all
+  // four at 4000. Jobs 6-10 (2 CPUs, RQ 100 s) fit no earlier than the
+  // 2000 pass, when their predicted BSLD at Ftop is (1990 + 100) / 600 >
+  // 2: they close there, skip the 3000 pass in which job 11 backfills, and
+  // start as heads after job 5. Beta 0 keeps every gear's duration equal.
+  std::vector<wl::Job> jobs = {
+      job(1, 0, 1000, 1000, 1),   job(2, 0, 2000, 2000, 1),
+      job(3, 0, 3000, 3000, 1),   job(4, 0, 4000, 4000, 1),
+      job(5, 0, 1000, 1000, 4),   job(6, 10, 100, 100, 2),
+      job(7, 10, 100, 100, 2),    job(8, 10, 100, 100, 2),
+      job(9, 10, 100, 100, 2),    job(10, 10, 100, 100, 2),
+      job(11, 2500, 100, 100, 3)};
+  for (wl::Job& entry : jobs) entry.beta = 0.0;
+  const wl::Workload load = workload(4, jobs);
+  core::DvfsConfig dvfs;
+  dvfs.bsld_threshold = 2.0;
+  dvfs.wq_threshold = 0;
+
+  std::vector<CountingAssigner::Call> log;
+  EasyBackfilling policy(cluster::make_selector("FirstFit"),
+                         std::make_unique<CountingAssigner>(dvfs, log));
+  sim::Simulation simulation(load, policy, models_.power, models_.time);
+  const sim::SimulationResult result = simulation.run();
+
+  std::map<JobId, Time> closed_at;
+  for (const CountingAssigner::Call& call : log) {
+    if (closed_at.contains(call.id)) {
+      ADD_FAILURE() << "job " << call.id << " closed at "
+                    << closed_at[call.id] << " was "
+                    << (call.closure ? "asked about closure" : "offered")
+                    << " again at " << call.now;
+    }
+    if (call.closure && call.closed) closed_at[call.id] = call.now;
+  }
+  EXPECT_EQ(closed_at, (std::map<JobId, Time>{
+                           {6, 2000}, {7, 2000}, {8, 2000}, {9, 2000},
+                           {10, 2000}}));
+  EXPECT_EQ(result.jobs[10].start, 3000);  // job 11 backfilled after them
+  for (std::size_t i = 5; i < 10; ++i) {
+    EXPECT_GE(result.jobs[i].start, 5000);  // closed jobs start as heads
+  }
+
+  // The full-scan reference offers the same closed jobs at 3000 again.
+  std::vector<CountingAssigner::Call> reference_log;
+  testing::ReferenceEasy reference(
+      cluster::make_selector("FirstFit"),
+      std::make_unique<CountingAssigner>(dvfs, reference_log));
+  sim::Simulation replay(load, reference, models_.power, models_.time);
+  const sim::SimulationResult replayed = replay.run();
+  EXPECT_TRUE(std::any_of(reference_log.begin(), reference_log.end(),
+                          [](const CountingAssigner::Call& call) {
+                            return call.id == 6 && call.now == 3000;
+                          }));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(replayed.jobs[i].start, result.jobs[i].start);
+    EXPECT_EQ(replayed.jobs[i].gear, result.jobs[i].gear);
+  }
 }
 
 TEST_F(EasyTest, LoneArrivalOnEmptyMachineGetsDvfs) {

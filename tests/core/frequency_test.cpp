@@ -140,6 +140,63 @@ TEST_F(FrequencyTest, BackfillOverWqLiteralElseBranch) {
   EXPECT_EQ(*gear, models_.gears.top_index());
 }
 
+TEST_F(FrequencyTest, BackfillClosureIsPermanentAndRejectsEveryWqSize) {
+  // Scan the clock forward: once backfill_closed answers true it keeps
+  // answering true, and from then on backfill_gear rejects the job even
+  // with every gear feasible, on both sides of the WQ threshold.
+  const auto all_feasible = [](GearIndex) { return true; };
+  for (const double threshold : {1.0, 1.5, 2.0, 3.0}) {
+    for (const std::optional<std::int64_t> wq :
+         {std::optional<std::int64_t>{0}, std::optional<std::int64_t>{16},
+          std::optional<std::int64_t>{}}) {
+      const BsldThresholdAssigner assigner(config(threshold, wq));
+      for (const double beta : {-1.0, 0.0, 0.3, 1.0}) {
+        for (const JobId id : {JobId{1}, JobId{2}}) {
+          wl::Job job = context_.job(id);
+          job.beta = beta;
+          context_.add_job(job);
+          Time closed_at = kNoTime;
+          for (Time now = 0; now <= 100'000; now += 37) {
+            context_.set_now(now);
+            const bool closed = assigner.backfill_closed(context_, job);
+            if (closed_at != kNoTime) {
+              ASSERT_TRUE(closed) << "reopened at " << now << " after "
+                                  << closed_at << ", job " << id;
+            }
+            if (!closed) continue;
+            if (closed_at == kNoTime) closed_at = now;
+            for (const std::size_t wq_size : {0u, 1u, 5u, 16u, 17u, 1000u}) {
+              ASSERT_FALSE(assigner
+                               .backfill_gear(context_, job, all_feasible,
+                                              wq_size)
+                               .has_value())
+                  << "closed job " << id << " backfilled at " << now;
+            }
+          }
+          // 100000 s of wait puts every job over every threshold.
+          EXPECT_NE(closed_at, kNoTime) << "job " << id;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FrequencyTest, NoClosureForFtopOrTheAblatedLiteralCheck) {
+  context_.set_now(100'000);  // BSLD at Ftop far over any threshold.
+  EXPECT_FALSE(TopFrequency().backfill_closed(context_, context_.job(1)));
+  DvfsConfig ablated = config(2.0, 0);
+  ablated.backfill_requires_bsld_at_top = false;
+  const BsldThresholdAssigner lenient(ablated);
+  EXPECT_FALSE(lenient.backfill_closed(context_, context_.job(1)));
+  // Still backfillable at Ftop once the queue passes the WQ threshold.
+  EXPECT_TRUE(lenient
+                  .backfill_gear(context_, context_.job(1),
+                                 [](GearIndex) { return true; }, 5)
+                  .has_value());
+  EXPECT_TRUE(BsldThresholdAssigner(config(2.0, 0))
+                  .backfill_closed(context_, context_.job(1)));
+}
+
 TEST_F(FrequencyTest, SatisfiesBsldMatchesEquation2) {
   const BsldThresholdAssigner assigner(config(2.0, std::nullopt));
   // (5802 + 7200*1.176)/7200 = 1.982 <= 2.

@@ -152,6 +152,32 @@ TEST(ConcurrencyTest, CacheCountersUnderConcurrentLookups) {
   EXPECT_EQ(counters.stores, 1u);
 }
 
+// Several threads key one spec that nobody has keyed yet: the first
+// key() fills the memo while the others read it (the shape of concurrent
+// cache lookups on one spec). Every caller gets the same text from the
+// same storage.
+TEST(ConcurrencyTest, FirstKeyOfASharedSpecIsRaceFree) {
+  const RunSpec spec = small_spec(2.0);
+  const std::string expected = spec.to_config().to_string();
+  constexpr int kThreads = 4;
+  std::atomic<bool> go{false};
+  std::vector<const std::string*> keys(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      keys[static_cast<std::size_t>(t)] = &spec.key();
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string* key : keys) {
+    ASSERT_NE(key, nullptr);
+    EXPECT_EQ(key, keys[0]);
+    EXPECT_EQ(*key, expected);
+  }
+}
+
 // The registry singletons are read from every worker thread (policy
 // construction per simulation) while remaining open for registration;
 // both sides go through the annotated SharedMutex.

@@ -242,6 +242,32 @@ TEST(SpecIoTest, UnknownAssignerRejectedListingRegistry) {
   }
 }
 
+TEST(SpecIoTest, BsldAssignerWithoutDvfsRejectedAtParse) {
+  // The bsld assigner builds from the DVFS config; without policy.dvfs the
+  // spec names a policy no run could build, so reading it fails.
+  try {
+    (void)RunSpec::parse(util::Config::parse("policy.assigner = bsld\n"));
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("DVFS"), std::string::npos) << what;
+  }
+  EXPECT_NO_THROW((void)RunSpec::parse(util::Config::parse(
+      "policy.assigner = bsld\npolicy.dvfs = true\n")));
+}
+
+TEST(SpecIoTest, RaisePolicyWithoutRaiseKeysRejectedAtParse) {
+  try {
+    (void)RunSpec::parse(util::Config::parse("policy.name = easy+raise\n"));
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("raise"), std::string::npos) << what;
+  }
+  EXPECT_NO_THROW((void)RunSpec::parse(util::Config::parse(
+      "policy.name = easy+raise\npolicy.raise.queue_limit = 8\n")));
+}
+
 TEST(SpecIoTest, UnknownSelectorRejected) {
   try {
     (void)RunSpec::parse(util::Config::parse("policy.selector = Bogus\n"));

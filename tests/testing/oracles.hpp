@@ -1,17 +1,25 @@
 /// \file oracles.hpp
 /// \brief Brute-force reference implementations of Machine's availability
-/// queries and of the First-Fit / Last-Fit selectors. Each one visits every
-/// CPU through Machine's per-CPU accessors only (is_free, avail_time), so
-/// it shares no state with the expected-end index or the word sets it is
-/// compared against.
+/// queries, of the First-Fit / Last-Fit selectors and of EASY's backfill
+/// pass. The machine oracles visit every CPU through Machine's per-CPU
+/// accessors only (is_free, avail_time), so they share no state with the
+/// expected-end index or the word sets they are compared against.
+/// ReferenceEasy offers every queued job to the assigner on every pass, so
+/// it shares no candidate bookkeeping with core::EasyBackfilling.
 #pragma once
 
 #include <algorithm>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/allocation.hpp"
+#include "cluster/first_fit.hpp"
 #include "cluster/machine.hpp"
+#include "core/dynamic_raise.hpp"
+#include "core/frequency.hpp"
+#include "core/scheduler.hpp"
 #include "util/error.hpp"
 
 namespace bsld::testing {
@@ -98,5 +106,127 @@ inline std::optional<std::vector<CpuId>> oracle_select_backfill(
   }
   return std::nullopt;
 }
+
+/// EASY backfilling with the full scan: after every completion each
+/// non-head queued job is offered to the assigner's backfill_gear, closed
+/// or not. The queue is a plain vector and the free CPUs outside the
+/// reservation are counted CPU by CPU. With `raise`, DynamicRaiseEasy's
+/// rule runs after every handler.
+class ReferenceEasy final : public core::SchedulingPolicy {
+ public:
+  ReferenceEasy(std::unique_ptr<cluster::ResourceSelector> selector,
+                std::unique_ptr<core::FrequencyAssigner> assigner,
+                std::optional<core::DynamicRaiseConfig> raise = std::nullopt)
+      : selector_(std::move(selector)),
+        assigner_(std::move(assigner)),
+        raise_(raise) {}
+
+  void on_submit(core::SchedulerContext& ctx, JobId id) override {
+    queue_.push_back(id);
+    if (queue_.size() == 1) {
+      schedule_heads(ctx);
+    } else {
+      try_backfill_one(ctx, id);
+    }
+    maybe_raise(ctx);
+  }
+
+  void on_job_end(core::SchedulerContext& ctx, JobId /*id*/) override {
+    if (queue_.empty()) {
+      reservation_.clear();
+    } else if (schedule_heads(ctx)) {
+      const std::vector<JobId> candidates(queue_.begin() + 1, queue_.end());
+      for (const JobId id : candidates) try_backfill_one(ctx, id);
+    }
+    maybe_raise(ctx);
+  }
+
+  [[nodiscard]] std::size_t queue_size() const override {
+    return queue_.size();
+  }
+  [[nodiscard]] std::string name() const override { return "ReferenceEasy"; }
+
+ private:
+  bool schedule_heads(core::SchedulerContext& ctx) {
+    reservation_.clear();
+    const cluster::Machine& machine = ctx.machine();
+    while (!queue_.empty()) {
+      const JobId head = queue_.front();
+      const wl::Job& job = ctx.job(head);
+      const Time start = machine.earliest_start(job.size, ctx.now());
+      if (start <= ctx.now()) {
+        const GearIndex gear = assigner_->reservation_gear(
+            ctx, job, ctx.now(), queue_.size() - 1);
+        const std::vector<CpuId> cpus =
+            selector_->select_at(machine, job.size, ctx.now(), ctx.now());
+        queue_.erase(queue_.begin());
+        ctx.start_job(head, cpus, gear);
+        continue;
+      }
+      reservation_.job = head;
+      reservation_.start = start;
+      reservation_.set_cpus(
+          selector_->select_at(machine, job.size, start, ctx.now()),
+          machine.cpu_count());
+      return true;
+    }
+    return false;
+  }
+
+  [[nodiscard]] std::int32_t free_outside_reservation(
+      const cluster::Machine& machine) const {
+    std::int32_t count = 0;
+    for (CpuId cpu = 0; cpu < machine.cpu_count(); ++cpu) {
+      if (machine.is_free(cpu) && !reservation_.contains(cpu)) ++count;
+    }
+    return count;
+  }
+
+  void try_backfill_one(core::SchedulerContext& ctx, JobId id) {
+    const cluster::Machine& machine = ctx.machine();
+    const wl::Job& job = ctx.job(id);
+    const Time now = ctx.now();
+    const auto end_at = [&](GearIndex gear) {
+      return now +
+             core::job_scaled_duration(ctx, job, job.requested_time, gear);
+    };
+    const auto feasible = [&](GearIndex gear) {
+      if (reservation_.active() && end_at(gear) > reservation_.start) {
+        return free_outside_reservation(machine) >= job.size;
+      }
+      return machine.free_now() >= job.size;
+    };
+    const std::optional<GearIndex> gear =
+        assigner_->backfill_gear(ctx, job, feasible, queue_.size() - 1);
+    if (!gear) return;
+    const std::optional<std::vector<CpuId>> cpus = selector_->select_backfill(
+        machine, job.size, now, end_at(*gear),
+        reservation_.active() ? &reservation_ : nullptr);
+    BSLD_REQUIRE(cpus.has_value(), "ReferenceEasy: no CPUs for a backfill");
+    queue_.erase(std::find(queue_.begin(), queue_.end(), id));
+    ctx.start_job(id, *cpus, *gear);
+  }
+
+  void maybe_raise(core::SchedulerContext& ctx) {
+    if (!raise_ ||
+        static_cast<std::int64_t>(queue_.size()) <= raise_->queue_limit) {
+      return;
+    }
+    const GearIndex top = ctx.time_model().gears().top_index();
+    for (const JobId id : ctx.running_jobs()) {
+      const GearIndex current = ctx.running_gear(id);
+      if (current >= top) continue;
+      ctx.boost_job(id, raise_->one_step
+                            ? static_cast<GearIndex>(current + 1)
+                            : top);
+    }
+  }
+
+  std::unique_ptr<cluster::ResourceSelector> selector_;
+  std::unique_ptr<core::FrequencyAssigner> assigner_;
+  std::optional<core::DynamicRaiseConfig> raise_;
+  std::vector<JobId> queue_;
+  cluster::Reservation reservation_;
+};
 
 }  // namespace bsld::testing
